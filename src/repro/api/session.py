@@ -105,7 +105,6 @@ class Session:
         )
         self._budget: Optional[int] = None
         self._workers: int = 1
-        self._piece_workers: Optional[int] = None
         self._store_path: Optional[str] = None
         self._backend: str = "auto"
         self._capacities: Tuple[int, ...] = ()
@@ -183,18 +182,6 @@ class Session:
             self._line_sizes = self._clean_sizes(line_sizes, "line_sizes")
         return self
 
-    def capacities(self, *sizes: int) -> "Session":
-        """Extra cache sizes in bytes to resolve on the result's miss curve.
-
-        Thin alias for :meth:`sweep` with only the capacity axis: the sizes
-        become breakpoints of every analysis result's
-        :class:`~repro.core.MissCurve` alongside the machine's hierarchy
-        levels — all served by the same single counting pass, so a wide
-        sweep costs barely more than a fixed-capacity run.  Calling with no
-        arguments clears a previously configured sweep.
-        """
-        return self.sweep(capacities=sizes)
-
     def _clean_sizes(self, sizes, label: str) -> Tuple[int, ...]:
         """Flatten, parse, and validate one sweep axis; sorted unique ints."""
         from ..sweep import Sweep, SweepError
@@ -236,28 +223,6 @@ class Session:
         if not isinstance(count, int) or count < 1:
             raise SessionConfigError(f"worker count must be >= 1 or 'auto', got {count!r}")
         self._workers = count
-        return self
-
-    def piece_workers(self, count: Union[int, str, None]) -> "Session":
-        """Intra-analysis parallelism for single analyses (:meth:`analyze`).
-
-        Splits the independent per-access capacity counts of *one* analysis
-        across ``count`` worker processes (``"auto"`` picks the machine
-        default, ``None`` restores the sequential path).  Results — including
-        the deterministic work accounting — are byte-identical for every
-        worker count; see :mod:`repro.core.parallel`.  Batch runs keep using
-        :meth:`workers` (one process per job) and ignore this knob.
-        """
-        if count is None:
-            self._piece_workers = None
-            return self
-        if count == "auto":
-            count = default_worker_count()
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise SessionConfigError(
-                f"piece worker count must be >= 1, 'auto', or None, got {count!r}"
-            )
-        self._piece_workers = count
         return self
 
     def store(self, path=_USE_DEFAULT_STORE, *, backend: Optional[str] = None) -> "Session":
@@ -321,7 +286,6 @@ class Session:
         if options.store_path:
             self._store_path = options.store_path
         self._backend = options.backend
-        self._piece_workers = options.piece_workers
         self._capacities = tuple(options.curve_capacities or ())
         return self
 
@@ -352,7 +316,6 @@ class Session:
             symbolic_work_budget=self._budget,
             store_path=self._store_path,
             backend=self._backend,
-            piece_workers=self._piece_workers,
             curve_capacities=self._capacities or None,
         )
 
@@ -552,7 +515,6 @@ class Session:
         clone = Session(machine if machine is not None else self._machine)
         clone._budget = self._budget
         clone._workers = self._workers
-        clone._piece_workers = self._piece_workers
         clone._store_path = self._store_path
         clone._backend = self._backend
         clone._capacities = (
@@ -634,14 +596,14 @@ class Session:
         """Miss curve of one kernel or :class:`Scop`: every cache size from
         one analysis.
 
-        ``capacities`` (bytes) adds sweep breakpoints for this and later
-        runs, like :meth:`capacities`.  The analysis flows through
-        :meth:`analyze`, so the store caches the curve together with the
-        per-level counts, and trace-fallback results return a curve that is
-        exact at *every* capacity.
+        ``capacities`` (bytes, or any :meth:`sweep` spec) adds sweep
+        breakpoints for this and later runs, like :meth:`sweep`.  The
+        analysis flows through :meth:`analyze`, so the store caches the
+        curve together with the per-level counts, and trace-fallback results
+        return a curve that is exact at *every* capacity.
         """
         if capacities is not None:
-            self.capacities(*capacities)
+            self.sweep(capacities=capacities)
         result = self.analyze(target, dataset, overrides=overrides)
         if result.miss_curve is None:
             raise SessionConfigError(

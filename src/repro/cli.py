@@ -34,7 +34,6 @@ from .api import registry
 from .api.registry import RegistryError
 from .api.session import SessionConfigError
 from .core import CacheLevelSpec, MachineModel
-from .core.budget import BudgetExhausted
 from .core.prevmap import ModelFallbackRequired
 from .core.results import ModelResult
 from .engine.store import (
@@ -46,6 +45,7 @@ from .engine.store import (
     validate_store_path,
 )
 from .frontend import KernelParseError, parse_kernel_path
+from .isl.work import BudgetExhausted
 from .reporting import (
     format_batch_summary,
     format_diagnostics,
@@ -220,8 +220,6 @@ def _session_from_args(args, machine: MachineModel) -> Session:
         session.options(fallback=False)
     if getattr(args, "backend", None):
         session.backend(args.backend)
-    if getattr(args, "workers", None):
-        session.piece_workers(args.workers)
     path = _store_path(args)
     if path:
         session.store(path)
@@ -371,18 +369,6 @@ def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     _add_machine_arguments(parser)
 
 
-def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="split the per-access capacity counts of this analysis across N "
-        "worker processes; results are byte-identical for every N (default: "
-        "sequential)",
-    )
-
-
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store-path",
@@ -430,7 +416,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_cache_arguments(model_parser)
     model_parser.add_argument("--no-fallback", action="store_true", help="fail instead of falling back to the trace")
     _add_budget_argument(model_parser)
-    _add_workers_argument(model_parser)
     _add_store_arguments(model_parser)
     _add_backend_argument(model_parser)
 
@@ -482,7 +467,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="simulator ways for --compare (default: fully associative)",
     )
     _add_budget_argument(analyze_parser)
-    _add_workers_argument(analyze_parser)
     _add_store_arguments(analyze_parser)
     _add_backend_argument(analyze_parser)
 
@@ -570,7 +554,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-fallback", action="store_true", help="fail instead of falling back to the trace"
     )
     _add_budget_argument(curve_parser)
-    _add_workers_argument(curve_parser)
     _add_store_arguments(curve_parser)
     _add_backend_argument(curve_parser)
 
@@ -632,7 +615,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-fallback", action="store_true", help="fail instead of falling back to the trace"
     )
     _add_budget_argument(explore_parser)
-    _add_workers_argument(explore_parser)
     _add_store_arguments(explore_parser)
     _add_backend_argument(explore_parser)
 
@@ -915,7 +897,7 @@ def _run_curve(args, machine: MachineModel, scop, *, structural: bool = False) -
         print(str(exc), file=sys.stderr)
         return 2
     try:
-        session = _session_from_args(args, machine).capacities(*sweep)
+        session = _session_from_args(args, machine).sweep(capacities=sweep)
     except SessionConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -91,7 +91,7 @@ class CapacityCounter:
     parametric chambers internally (keyed by piece identity), so asking for
     several capacities or grids reuses the capacity-independent work.
 
-    ``budget`` (a :class:`~repro.core.budget.WorkBudget`) is charged one unit
+    ``budget`` (a :class:`~repro.isl.work.WorkBudget`) is charged one unit
     per piece visited by :meth:`count_misses`/:meth:`count_curve`; the
     symbolic primitives underneath (feasibility checks, counting recursion)
     charge the process-global active budget themselves.  Charges depend only
@@ -120,7 +120,7 @@ class CapacityCounter:
         self.options = options or CounterOptions()
         self.stats = CapacityCountStats()
         self.cardinality_cache = cardinality_cache
-        #: Optional :class:`repro.core.budget.WorkBudget`, charged per piece.
+        #: Optional :class:`repro.isl.work.WorkBudget`, charged per piece.
         self.budget = budget
         #: Resolved evaluation backend for parametric chamber grids.
         self.backend = resolve_backend(backend)

@@ -72,7 +72,7 @@ class StackDistanceAnalysis:
     def __init__(self, scop: Scop, *, line_size: int = 64, budget=None) -> None:
         self.scop = scop
         self.line_size = line_size
-        #: Optional :class:`repro.core.budget.WorkBudget` shared with the
+        #: Optional :class:`repro.isl.work.WorkBudget` shared with the
         #: previous-access map; charged per reuse-window system so heavy
         #: kernels trip a deterministic fallback.
         self.budget = budget

@@ -17,7 +17,7 @@ distance pieces go through one :meth:`~repro.core.capacity.CapacityCounter.count
 pass whose samples provide the per-level counts and aggregate into the
 result's :class:`~repro.core.curve.MissCurve`.  If the symbolic pipeline cannot
 handle a program exactly — or exceeds the configured deterministic work
-budget (:mod:`repro.core.budget`) — the model optionally falls back to the
+budget (:mod:`repro.isl.work`) — the model optionally falls back to the
 trace-based reference computation and flags the result, so callers always
 receive exact miss counts.
 
@@ -35,8 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine.cache import CardinalityCache
 from ..isl.counting import CountingError
+from ..isl.work import BudgetExhausted, WorkBudget, active_budget
 from ..scop.scop import Scop
-from .budget import BudgetExhausted, WorkBudget, active_budget
 from .capacity import CapacityCounter, CounterOptions
 from .config import MachineModel
 from .curve import MissCurve
@@ -79,7 +79,7 @@ class ModelOptions:
     #: (test-suite use only; requires enumerating the trace).
     cross_check: bool = False
     #: Deterministic bound on symbolic work units (see
-    #: :class:`repro.core.budget.WorkBudget`); ``None`` = unlimited.  When the
+    #: :class:`repro.isl.work.WorkBudget`); ``None`` = unlimited.  When the
     #: budget trips the model falls back to the exact trace computation (or
     #: raises, with ``fallback_to_simulation=False``).
     symbolic_work_budget: Optional[int] = None
@@ -96,14 +96,6 @@ class ModelOptions:
     #: ``$REPRO_BACKEND``).  Both produce identical :class:`ModelResult`
     #: payloads.
     backend: str = "auto"
-    #: Intra-analysis parallelism: split the per-access capacity counts of a
-    #: *single* analysis across this many worker processes (see
-    #: :mod:`repro.core.parallel`).  ``None`` (default) keeps the sequential
-    #: path with its shared cardinality cache; any count >= 1 switches to
-    #: hermetic per-access tasks whose merged result — including the
-    #: deterministic work accounting — is byte-identical for every worker
-    #: count (1 runs the same tasks inline).
-    piece_workers: Optional[int] = None
     #: Extra cache sizes (in bytes) to include as breakpoints of the
     #: result's :class:`~repro.core.curve.MissCurve` beyond the machine's
     #: hierarchy levels; ``None`` keeps just the hierarchy.  The curve shares
@@ -138,7 +130,7 @@ class CacheModel:
         """Compute compulsory and capacity misses for every cache level.
 
         The symbolic pipeline runs under the configured work budget (see
-        :class:`repro.core.budget.WorkBudget`); both an exact-computation
+        :class:`repro.isl.work.WorkBudget`); both an exact-computation
         failure and budget exhaustion degrade to the trace-based fallback,
         which is exact and flagged on the result.
 
@@ -223,11 +215,6 @@ class CacheModel:
     # ------------------------------------------------------------------
     # Symbolic pipeline
     # ------------------------------------------------------------------
-    def _analyze_symbolic(self, scop: Scop) -> ModelResult:
-        budget = WorkBudget(self.options.symbolic_work_budget)
-        with active_budget(budget):
-            return self._analyze_symbolic_under_budget(scop, budget)
-
     def _make_cardinality_cache(self) -> CardinalityCache:
         if self.options.store_path:
             from ..engine.store import AnalysisStore, PersistentCardinalityCache
@@ -263,54 +250,12 @@ class CacheModel:
         # sample, not a separate algorithm).
         grid = self._curve_grid_lines()
         level_slots = [grid.index(capacity) for capacity in capacities]
-        if self.options.piece_workers is not None:
-            phase = self._capacity_phase_parallel(distances, grid, level_slots, budget)
-        else:
-            phase = self._capacity_phase_sequential(distances, grid, level_slots, budget)
-        capacity_seconds = time.perf_counter() - capacity_start
-        per_access = phase["per_access"]
-
-        level_results = self._aggregate_levels(per_access, labels)
-        miss_curve = MissCurve(
-            line_size=line_size,
-            accesses=sum(entry.accesses for entry in per_access),
-            compulsory=sum(entry.compulsory for entry in per_access),
-            capacities=tuple(grid),
-            counts=tuple(phase["curve_totals"]),
-            exact=False,
-        )
-        timing = TimingBreakdown(
-            stack_distance_seconds=analysis.elapsed_seconds,
-            capacity_seconds=capacity_seconds,
-            cardinality_cache_hits=phase["cache_hits"],
-            cardinality_cache_misses=phase["cache_misses"],
-            store_hits=phase["store_hits"],
-            store_misses=phase["store_misses"],
-            store_invalidations=phase["store_invalidations"],
-            work_units_charged=budget.used,
-        )
-        return ModelResult(
-            kernel=scop.name,
-            level_results=level_results,
-            per_access=per_access,
-            timing=timing,
-            piece_count=phase["piece_count"],
-            nonaffine_pieces=phase["nonaffine_pieces"],
-            nonaffine_affine_dims=phase["nonaffine_dims"],
-            enumerated_points=phase["enumerated_points"],
-            used_fallback=False,
-            miss_curve=miss_curve,
-        )
-
-    def _capacity_phase_sequential(self, distances, grid, level_slots, budget: WorkBudget) -> Dict:
-        """Per-access counting with one shared memoizing cardinality cache.
-
-        Repeated first-touch and capacity counts (e.g. the same
-        constant-distance domain counted for every hierarchy level) are
-        served from memory instead of re-derived.  With a configured store
-        path the cache gains a persistent disk tier shared across processes
-        and runs.
-        """
+        # One memoizing cardinality cache serves the whole analysis, so
+        # repeated first-touch and capacity counts (e.g. the same
+        # constant-distance domain counted for every hierarchy level) are
+        # served from memory instead of re-derived.  With a configured store
+        # path the cache gains a persistent disk tier shared across processes
+        # and runs.
         cardinality_cache = self._make_cardinality_cache()
         curve_totals = [0] * len(grid)
         per_access: List[AccessMissCounts] = []
@@ -358,109 +303,39 @@ class CacheModel:
                     capacity=capacity_per_level,
                 )
             )
+        capacity_seconds = time.perf_counter() - capacity_start
+
+        miss_curve = MissCurve(
+            line_size=line_size,
+            accesses=sum(entry.accesses for entry in per_access),
+            compulsory=sum(entry.compulsory for entry in per_access),
+            capacities=tuple(grid),
+            counts=tuple(curve_totals),
+            exact=False,
+        )
         store = getattr(cardinality_cache, "store", None)
-        store_stats = store.stats() if store is not None else None
-        return {
-            "per_access": per_access,
-            "curve_totals": curve_totals,
-            "piece_count": piece_count,
-            "nonaffine_pieces": nonaffine_pieces,
-            "nonaffine_dims": nonaffine_dims,
-            "enumerated_points": enumerated_points,
-            "cache_hits": cardinality_cache.stats.hits,
-            "cache_misses": cardinality_cache.stats.misses,
-            "store_hits": getattr(cardinality_cache, "store_hits", 0),
-            "store_misses": getattr(cardinality_cache, "store_misses", 0),
-            "store_invalidations": store_stats.invalidations if store_stats else 0,
-        }
-
-    def _capacity_phase_parallel(self, distances, grid, level_slots, budget: WorkBudget) -> Dict:
-        """Per-access counting fanned out over hermetic worker tasks.
-
-        See :mod:`repro.core.parallel` for the determinism argument.  The
-        instance counts (which charge the analysis budget) stay in the
-        parent, computed in access order *before* any task is sized, so the
-        budget remainder handed to the tasks — and therefore every task's
-        outcome — is a pure function of the program.  Outcomes are merged in
-        access order: each task's units are replayed against the analysis
-        budget (tripping deterministically on cumulative exhaustion), then
-        its failure, if any, is re-raised.
-        """
-        from .parallel import AccessTask, run_access_tasks
-
-        instance_counts: Dict[str, int] = {}
-        for access_distances in distances:
-            statement = access_distances.access.statement
-            if statement.name not in instance_counts:
-                instance_counts[statement.name] = statement.instance_count()
-
-        remaining = None
-        if budget.limit is not None:
-            remaining = max(1, budget.limit - budget.used)
-        tasks = [
-            AccessTask(
-                index=index,
-                loop_vars=tuple(access_distances.access.statement.loop_vars),
-                first_touch_domains=tuple(access_distances.first_touch_domains),
-                pieces=tuple(access_distances.pieces),
-                grid=tuple(grid),
-                options=self.options.counter_options(),
-                budget_limit=remaining,
-                backend=self.options.backend,
-            )
-            for index, access_distances in enumerate(distances)
-        ]
-        outcomes = run_access_tasks(tasks, self.options.piece_workers)
-
-        curve_totals = [0] * len(grid)
-        per_access: List[AccessMissCounts] = []
-        piece_count = 0
-        nonaffine_pieces = 0
-        nonaffine_dims: List[int] = []
-        enumerated_points = 0
-        cache_hits = 0
-        cache_misses = 0
-        for access_distances, outcome in zip(distances, outcomes):
-            budget.charge(outcome.units)
-            if outcome.status == "budget":
-                raise BudgetExhausted(outcome.message or "symbolic work budget exhausted")
-            if outcome.status == "fallback":
-                raise ModelFallbackRequired(outcome.message)
-            access = access_distances.access
-            statement = access.statement
-            capacity_per_level = [outcome.curve[slot] for slot in level_slots]
-            for index, count in enumerate(outcome.curve):
-                curve_totals[index] += count
-            piece_count += outcome.pieces_counted
-            nonaffine_pieces += outcome.nonaffine_pieces
-            nonaffine_dims.extend(outcome.nonaffine_affine_dims)
-            enumerated_points += outcome.enumerated_points
-            cache_hits += outcome.cache_hits
-            cache_misses += outcome.cache_misses
-            per_access.append(
-                AccessMissCounts(
-                    statement=statement.name,
-                    position=access.position,
-                    array=access.ref.array.name,
-                    is_write=access.ref.is_write,
-                    accesses=instance_counts[statement.name],
-                    compulsory=outcome.compulsory,
-                    capacity=capacity_per_level,
-                )
-            )
-        return {
-            "per_access": per_access,
-            "curve_totals": curve_totals,
-            "piece_count": piece_count,
-            "nonaffine_pieces": nonaffine_pieces,
-            "nonaffine_dims": nonaffine_dims,
-            "enumerated_points": enumerated_points,
-            "cache_hits": cache_hits,
-            "cache_misses": cache_misses,
-            "store_hits": 0,
-            "store_misses": 0,
-            "store_invalidations": 0,
-        }
+        timing = TimingBreakdown(
+            stack_distance_seconds=analysis.elapsed_seconds,
+            capacity_seconds=capacity_seconds,
+            cardinality_cache_hits=cardinality_cache.stats.hits,
+            cardinality_cache_misses=cardinality_cache.stats.misses,
+            store_hits=getattr(cardinality_cache, "store_hits", 0),
+            store_misses=getattr(cardinality_cache, "store_misses", 0),
+            store_invalidations=store.stats().invalidations if store is not None else 0,
+            work_units_charged=budget.used,
+        )
+        return ModelResult(
+            kernel=scop.name,
+            level_results=self._aggregate_levels(per_access, labels),
+            per_access=per_access,
+            timing=timing,
+            piece_count=piece_count,
+            nonaffine_pieces=nonaffine_pieces,
+            nonaffine_affine_dims=nonaffine_dims,
+            enumerated_points=enumerated_points,
+            used_fallback=False,
+            miss_curve=miss_curve,
+        )
 
     def _aggregate_levels(self, per_access: Sequence[AccessMissCounts], labels: Sequence[str]) -> List[LevelMissCounts]:
         levels: List[LevelMissCounts] = []

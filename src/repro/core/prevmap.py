@@ -70,7 +70,7 @@ class PrevMapBuilder:
         self.schedule_length = scop.schedule_length()
         self.accesses = all_access_instances(scop)
         self._cache: Dict[Tuple[str, int], List[PrevRegion]] = {}
-        #: Optional :class:`repro.core.budget.WorkBudget`; charged per
+        #: Optional :class:`repro.isl.work.WorkBudget`; charged per
         #: candidate disjunct and per region merge so runaway kernels trip a
         #: deterministic fallback instead of running unbounded.
         self.budget = budget

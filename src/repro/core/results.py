@@ -84,7 +84,9 @@ class LevelMissCounts:
     def miss_ratio(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
-    def as_dict(self) -> Dict[str, int]:
+    def to_dict(self) -> Dict[str, int]:
+        """JSON form; ``misses``/``hits`` are derived and therefore ignored
+        by :meth:`from_dict`."""
         return {
             "name": self.name,
             "cache_size": self.cache_size,
@@ -94,10 +96,6 @@ class LevelMissCounts:
             "misses": self.misses,
             "hits": self.hits,
         }
-
-    #: JSON serialization alias (``misses``/``hits`` are derived and
-    #: therefore ignored by :meth:`from_dict`).
-    to_dict = as_dict
 
     @classmethod
     def from_dict(cls, data: Dict) -> "LevelMissCounts":
@@ -262,9 +260,6 @@ class ModelResult:
             "miss_curve": self.miss_curve.to_dict() if self.miss_curve is not None else None,
             "timing": self.timing.to_dict(),
         }
-
-    #: Backward-compatible alias of :meth:`to_dict`.
-    as_dict = to_dict
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ModelResult":

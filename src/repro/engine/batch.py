@@ -275,40 +275,6 @@ def default_worker_count() -> int:
     return max(1, min(4, (os.cpu_count() or 1)))
 
 
-def _indexed_call(payload):
-    function, index, item = payload
-    return index, function(item)
-
-
-def pool_map_ordered(function, items: Sequence, workers: int) -> List:
-    """``[function(item) for item in items]`` on a worker pool, order kept.
-
-    The generic sibling of the job pool above, used by the intra-analysis
-    parallelism of :mod:`repro.core.parallel`: results come back in input
-    order whatever the completion order.  ``function`` must be a picklable
-    module-level callable.  Degrades to an inline loop (same code path,
-    no pool) when ``workers <= 1``, there is at most one item, or the caller
-    is itself a daemonic pool worker (which cannot spawn children) — so the
-    returned values never depend on the worker count.
-    """
-    items = list(items)
-    count = min(workers, len(items))
-    if multiprocessing.current_process().daemon:
-        count = 1
-    if count <= 1:
-        return [function(item) for item in items]
-    results: List = [None] * len(items)
-    payloads = [(function, index, item) for index, item in enumerate(items)]
-    pool = multiprocessing.Pool(processes=count)
-    try:
-        for index, result in pool.imap_unordered(_indexed_call, payloads, chunksize=1):
-            results[index] = result
-    finally:
-        pool.terminate()
-        pool.join()
-    return results
-
-
 class BatchEngine:
     """Runs a job matrix across a worker pool with deterministic ordering.
 

@@ -97,7 +97,7 @@ SUITES: Dict[str, Dict] = {
         # analyses of the same configurations.  Gates: the grid must cost at
         # most a quarter of the independent sweep (the per-axis parametric
         # amortization claim) and the ranked table must be byte-identical
-        # across backends and worker counts, and stable against the baseline.
+        # across backends and stable against the baseline.
         "explore": {"size": 16, "tiles": [1, 2, 4, 8], "points": 16, "max_cost_ratio": 0.25},
     },
     "full": {
@@ -294,7 +294,7 @@ def _run_curve_workload(config: Dict) -> Dict:
     single = session.analyze(scop)
     single_seconds = time.perf_counter() - start
 
-    sweep_session = Session().machine(machine).no_store().capacities(*sweep)
+    sweep_session = Session().machine(machine).no_store().sweep(capacities=sweep)
     start = time.perf_counter()
     swept = sweep_session.analyze(scop)
     sweep_seconds = time.perf_counter() - start
@@ -639,10 +639,6 @@ def _run_explore_workload(config: Dict) -> Dict:
             grid_session().backend("numpy").explore(scop, tiles=tiles, capacities=capacities).table_digest()
             == digest
         )
-    workers_match = (
-        grid_session().piece_workers(2).explore(scop, tiles=tiles, capacities=capacities).table_digest()
-        == digest
-    )
     return {
         "kernel": scop.name,
         "tiles": tiles,
@@ -657,7 +653,6 @@ def _run_explore_workload(config: Dict) -> Dict:
         "max_cost_ratio": max_cost_ratio,
         "table_digest": digest,
         "backends_match": backends_match,
-        "workers_match": workers_match,
         "numpy_available": numpy_available(),
     }
 
@@ -824,7 +819,7 @@ def compare_reports(
       latency collapsing past 4x the baseline (wall clock; skipped with
       ``check_wall=False``);
     * the ``explore`` design-space workload regresses when the ranked table
-      is not byte-identical across backends or worker counts, or when its
+      is not byte-identical across backends, or when its
       digest drifts from the baseline (accuracy — the grid is deterministic),
       or when the grid costs more than ``max_cost_ratio`` times the
       equivalent independent analyses (wall clock; skipped with
@@ -1105,10 +1100,6 @@ def _compare_explore_workload(current: Dict, baseline: Dict, *, check_wall: bool
         regressions.append(
             "accuracy: explore workload table is not byte-identical across backends"
         )
-    if now.get("workers_match") is False:
-        regressions.append(
-            "accuracy: explore workload table is not byte-identical across worker counts"
-        )
     if (
         base
         and base.get("table_digest")
@@ -1204,11 +1195,7 @@ def format_bench_summary(report: Dict, regressions: Optional[Sequence[str]] = No
     if explore:
         ratio = explore.get("cost_ratio")
         ratio_text = f"{ratio:.2f}x" if ratio is not None else "n/a"
-        tables = (
-            "identical"
-            if explore.get("backends_match") and explore.get("workers_match")
-            else "DIFFER"
-        )
+        tables = "identical" if explore.get("backends_match") else "DIFFER"
         lines.append(
             f"explore workload: {explore.get('grid_size', 0)}-config grid "
             f"({explore.get('analyses', 0)} analyses) in {explore.get('grid_seconds', 0.0):.2f}s "

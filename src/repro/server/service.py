@@ -21,8 +21,8 @@ the service safe to share:
   (``max_inflight`` leaders; waiters are free, they consume no engine
   slot), and an optional *budget ceiling* (``max_budget``) that rejects
   requests demanding more symbolic work than the operator allows —
-  including requests asking for an unlimited budget.  Requests that name no
-  budget get ``default_budget``.
+  including requests asking for an unlimited budget, and lint cost probes.
+  Analyses that name no budget get ``default_budget``.
 
 * **Write-through store** — leaders look up the shared
   :class:`~repro.engine.store.AnalysisStore` before computing and publish
@@ -116,9 +116,8 @@ class AnalysisService:
             spec, kernel = build_spec(payload, default_budget=self.default_budget)
         except RequestError as exc:
             return exc.status, error_body(exc)
-        shed = self._budget_shed(spec)
+        shed = self._budget_shed(spec.symbolic_work_budget)
         if shed is not None:
-            self._counters["shed_budget"] += 1
             return 429, shed
 
         digest = job_digest(spec)
@@ -236,9 +235,11 @@ class AnalysisService:
         store, and the engine pool entirely: the static checks plus the
         (budget-bounded) cost probe run in a worker thread and the
         :meth:`~repro.verify.VerifyReport.to_payload` JSON comes straight
-        back.  Findings are data, not failures — a kernel full of errors
-        still answers 200; only malformed requests (400) and internal
-        faults (500) are non-OK.
+        back.  The cost probe spends symbolic work like an analysis, so a
+        lint that runs it faces the same budget ceiling (429); ``cost:
+        false`` lints are always admitted.  Findings are data, not failures
+        — a kernel full of errors still answers 200; only malformed requests
+        (400) and internal faults (500) are non-OK.
         """
         from ..verify import verify_scop
 
@@ -247,6 +248,10 @@ class AnalysisService:
             request = build_lint_request(payload)
         except RequestError as exc:
             return exc.status, error_body(exc)
+        if request.cost:
+            shed = self._budget_shed(request.budget)
+            if shed is not None:
+                return 429, shed
         try:
             report = await asyncio.to_thread(
                 verify_scop,
@@ -261,24 +266,17 @@ class AnalysisService:
             return 500, error_body(exc)
         return 200, report.to_payload()
 
-    def _budget_shed(self, spec: JobSpec) -> Optional[Dict]:
-        """A 429 body when the request demands more work than allowed."""
-        if self.max_budget is None:
+    def _budget_shed(self, budget: Optional[int]) -> Optional[Dict]:
+        """A 429 body (counted as ``shed_budget``) when ``budget`` work units
+        (``None`` = unlimited) exceed the admission ceiling."""
+        if self.max_budget is None or (budget is not None and budget <= self.max_budget):
             return None
-        budget = spec.symbolic_work_budget
+        self._counters["shed_budget"] += 1
         if budget is None:
-            return error_body(
-                f"unlimited work budgets are not admitted; "
-                f'request "budget" <= {self.max_budget}',
-                shed="budget",
-            )
-        if budget > self.max_budget:
-            return error_body(
-                f"requested budget {budget} exceeds the admission ceiling "
-                f"{self.max_budget}",
-                shed="budget",
-            )
-        return None
+            message = f'unlimited work budgets are not admitted; request "budget" <= {self.max_budget}'
+        else:
+            message = f"requested budget {budget} exceeds the admission ceiling {self.max_budget}"
+        return error_body(message, shed="budget")
 
     async def _run_job(self, spec: JobSpec):
         """Execute one engine job off the event loop (pool or inline thread)."""

@@ -98,7 +98,6 @@ def estimate_cost(
         fallback_to_simulation=False,
         cross_check=False,
         store_path=None,
-        piece_workers=None,
         verify="off",
     )
     probe = CacheModel(machine, probe_options).symbolic_probe(scop)

@@ -558,7 +558,6 @@ class TestExploreWorkload:
             "max_cost_ratio": 0.25,
             "table_digest": "abc123",
             "backends_match": True,
-            "workers_match": True,
             "numpy_available": True,
         }
         entry.update(overrides)
@@ -589,7 +588,6 @@ class TestExploreWorkload:
         assert explore["grid_seconds"] > 0 and explore["independent_seconds"] > 0
         assert explore["table_digest"]
         assert explore["backends_match"] is True
-        assert explore["workers_match"] is True
 
     def test_clean_explore_workload_passes(self):
         report = self._report(self._explore_entry())
@@ -599,11 +597,6 @@ class TestExploreWorkload:
         current = self._report(self._explore_entry(backends_match=False))
         regressions = compare_reports(current, self._report(self._explore_entry()), check_wall=False)
         assert any("across backends" in r for r in regressions)
-
-    def test_worker_divergence_is_accuracy_regression(self):
-        current = self._report(self._explore_entry(workers_match=False))
-        regressions = compare_reports(current, self._report(self._explore_entry()), check_wall=False)
-        assert any("across worker counts" in r for r in regressions)
 
     def test_table_drift_is_accuracy_regression(self):
         current = self._report(self._explore_entry(table_digest="def456"))
@@ -629,7 +622,7 @@ class TestExploreWorkload:
         report = load_report(repo_root / "benchmarks" / "baselines" / "BENCH_smoke.json")
         explore = report["explore"]
         assert explore["grid_size"] == 64 and explore["analyses"] == 4
-        assert explore["backends_match"] is True and explore["workers_match"] is True
+        assert explore["backends_match"] is True
         assert explore["max_cost_ratio"] <= 0.25
         assert explore["cost_ratio"] <= explore["max_cost_ratio"]
 

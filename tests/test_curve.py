@@ -348,22 +348,22 @@ def test_smoke_kernel_symbolic_curve_matches_count_misses(kernel):
 class TestSessionCurve:
     def test_capacities_validation(self):
         with pytest.raises(SessionConfigError):
-            Session().capacities(0)
+            Session().sweep(capacities=0)
         with pytest.raises(SessionConfigError):
-            Session().capacities(-64)
+            Session().sweep(capacities=-64)
         with pytest.raises(SessionConfigError):
-            Session().capacities("huge")
+            Session().sweep(capacities="huge")
         # Floats must be rejected, not silently truncated; bools are not sizes.
         with pytest.raises(SessionConfigError):
-            Session().capacities(1000.5)
+            Session().sweep(capacities=1000.5)
         with pytest.raises(SessionConfigError):
-            Session().capacities(True)
+            Session().sweep(capacities=True)
 
     def test_capacities_flatten_sort_dedupe_and_clear(self):
-        session = Session().capacities(4096, [1024, 2048], 1024)
+        session = Session().sweep(capacities=(4096, [1024, 2048], 1024))
         assert session.model_options().curve_capacities == (1024, 2048, 4096)
         assert session.job_spec("gemm", "mini").curve_capacities == (1024, 2048, 4096)
-        session.capacities()
+        session.sweep(capacities=())
         assert session.model_options().curve_capacities is None
         assert session.job_spec("gemm", "mini").curve_capacities == ()
 
@@ -389,12 +389,12 @@ class TestSessionCurve:
         from repro.engine.store import job_digest
 
         plain = Session().job_spec("gemm", "mini")
-        swept = Session().capacities(4096).job_spec("gemm", "mini")
+        swept = Session().sweep(capacities=4096).job_spec("gemm", "mini")
         assert plain.key() != swept.key()
         assert job_digest(plain) != job_digest(swept)
 
     def test_batch_jobs_carry_the_sweep(self):
-        session = Session().machine((1024,)).no_store().capacities(64, 128)
+        session = Session().machine((1024,)).no_store().sweep(capacities=(64, 128))
         batch = session.scops(_matvec(6)).run()
         (record,) = batch.records
         assert record.ok and not record.result.used_fallback

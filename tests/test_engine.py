@@ -3,10 +3,10 @@
 import pytest
 
 from repro.core import CacheLevelSpec, CacheModel, MachineModel, ModelOptions
-from repro.core.budget import BudgetExhausted, WorkBudget
 from repro.core.results import ModelResult
 from repro.engine import BatchEngine, BatchResult, CardinalityCache, JobSpec, expand_matrix
 from repro.isl.constraints import ConstraintSystem, ge, le
+from repro.isl.work import BudgetExhausted, WorkBudget
 from repro.scop import ScopBuilder
 
 LINE = 64

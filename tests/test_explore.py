@@ -202,11 +202,6 @@ class TestExploreIdentity:
         reference = _session().explore(scop, space=SPACE).table_digest()
         assert _session().backend(backend).explore(scop, space=SPACE).table_digest() == reference
 
-    def test_table_identical_across_worker_counts(self):
-        scop = _sweep_scop()
-        reference = _session().explore(scop, space=SPACE).table_digest()
-        assert _session().piece_workers(2).explore(scop, space=SPACE).table_digest() == reference
-
     def test_ranking_is_best_first_and_pareto_flagged(self):
         result = _session().explore(_sweep_scop(), space=SPACE)
         objectives = [config.objectives() for config in result.configs]

@@ -211,6 +211,17 @@ class TestAdmission:
         assert status == 429 and body["shed"] == "budget"
         assert service.stats()["shed_budget"] == 2
 
+    def test_budget_ceiling_sheds_lint_cost_probes(self):
+        # The cost probe spends symbolic work like an analysis, so it faces
+        # the same ceiling; a lint without the probe costs no budget.
+        service = AnalysisService(workers=0, max_budget=1000)
+        for budget in (0, 2000):
+            status, body = asyncio.run(service.lint({"kernel": "gemm", "budget": budget}))
+            assert status == 429 and body["shed"] == "budget", budget
+        status, body = asyncio.run(service.lint({"kernel": "gemm", "budget": 0, "cost": False}))
+        assert status == 200 and "cost" not in body
+        assert service.stats()["shed_budget"] == 2
+
     def test_capacity_cap_sheds_when_full(self, monkeypatch):
         worker = _CountingWorker(gated=True)
         monkeypatch.setattr(service_module, "_execute_job", worker)

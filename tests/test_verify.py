@@ -166,7 +166,7 @@ class TestCostPrediction:
         smoke kernel.  (At the paper datasets they all trip — that is what
         the committed bench baselines record.)
         """
-        from repro.core.budget import BudgetExhausted
+        from repro.isl.work import BudgetExhausted
         from repro.verify.cost import DEFAULT_VERIFY_BUDGET
 
         scop = registry.get_kernel(kernel).build("mini")
@@ -186,6 +186,32 @@ class TestCostPrediction:
             f"{kernel}: probe said {predicted.outcome} "
             f"({predicted.work_units} units), reality said trips={actual_trips}"
         )
+
+    def test_prediction_is_exact_at_the_trip_boundary(self):
+        """The probe and the analysis agree on both sides of the limit.
+
+        ``U`` is what the program charges with no limit: at budget ``U``
+        both complete, at ``U - 1`` both trip.
+        """
+        from repro.isl.work import BudgetExhausted
+
+        scop = _copy_scop()
+
+        def model(budget):
+            options = ModelOptions(symbolic_work_budget=budget, fallback_to_simulation=False)
+            return CacheModel(None, options)
+
+        units = model(None).analyze(scop).timing.work_units_charged
+        assert units > 0
+        fits = estimate_cost(scop, budget=units)
+        assert fits.outcome == "fits" and not fits.trips and fits.work_units == units
+        result = model(units).analyze(scop)
+        assert not result.used_fallback and result.timing.work_units_charged == units
+
+        trips = estimate_cost(scop, budget=units - 1)
+        assert trips.outcome == "budget" and trips.trips
+        with pytest.raises(BudgetExhausted):
+            model(units - 1).analyze(scop)
 
     def test_cost_diagnostic_rides_in_the_report(self):
         report = verify_scop(_copy_scop(), budget=50_000)

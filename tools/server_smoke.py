@@ -10,7 +10,9 @@ fresh sqlite store — and asserts the service guarantees end to end:
   ``Session.analyze()`` reading the same store;
 * a duplicate pair inside one ``/v1/batch`` call coalesces onto a single
   engine job (``meta.coalesced`` on exactly one record, ``/stats`` agrees);
-* a request over the admission budget ceiling is shed with 429/``budget``;
+* a request over the admission budget ceiling is shed with 429/``budget``,
+  and so is a ``/v1/lint`` whose cost probe asks for an unlimited budget,
+  while a ``cost: false`` lint is admitted;
 * a ``/v1/explore`` tile × capacity grid ranks from one analysis per tile
   and its table digest matches the offline ``Session.explore()`` against
   the same store;
@@ -115,6 +117,12 @@ def main() -> int:
                 "POST", "/v1/analyze", {"kernel": "gemm", "budget": 200000}
             )
             assert status == 429 and body.get("shed") == "budget", (status, body)
+            status, body = client.request("POST", "/v1/lint", {"kernel": "gemm", "budget": 0})
+            assert status == 429 and body.get("shed") == "budget", (status, body)
+            status, body = client.request(
+                "POST", "/v1/lint", {"kernel": "gemm", "budget": 0, "cost": False}
+            )
+            assert status == 200 and "cost" not in body, (status, body)
 
             # Design-space explorer: a tile x capacity grid from 2 analyses,
             # with the ranked-table digest matching the offline explorer
@@ -133,7 +141,7 @@ def main() -> int:
             # gemm + inline mini + inline small + 2 explore sub-analyses
             assert stats["engine_jobs"] == 5, stats
             assert stats["coalesced"] >= 1, stats
-            assert stats["shed_budget"] == 1, stats
+            assert stats["shed_budget"] == 2, stats
             assert stats["store"]["hits"] >= 1, stats
 
             # Offline byte-identity: the CLI-side session reads the entry
@@ -167,7 +175,7 @@ def main() -> int:
 
     print(
         "server smoke OK: analyze, inline source, store rerun, coalesce, shed, "
-        "explore, offline identity"
+        "lint shed, explore, offline identity"
     )
     return 0
 
