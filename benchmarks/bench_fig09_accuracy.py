@@ -1,11 +1,12 @@
 """Figure 9: model-predicted misses vs. "measured" misses (L1 and L2).
 
 The hardware measurements of the paper are replaced by the deterministic
-hardware surrogate (set-associative tree-PLRU caches, see DESIGN.md).  The
-paper reports geometric-mean errors of 0.6% (L1) and 0.2% (L2) relative to
-the total number of accesses; the reproduction asserts that the error of the
-fully associative model against the set-associative surrogate stays within a
-few percent for the scaled suite.
+hardware surrogate (set-associative tree-PLRU caches, see
+:mod:`repro.hardware.measurement`).  The paper reports geometric-mean errors
+of 0.6% (L1) and 0.2% (L2) relative to the total number of accesses; the
+reproduction asserts that the error of the fully associative model against
+the set-associative surrogate stays within a few percent for the scaled
+suite.
 """
 
 import pytest

@@ -3,7 +3,7 @@
 Every figure/table of the paper's evaluation has a corresponding
 ``bench_*.py`` module; they all draw their workloads from here.
 
-Scaling note (see DESIGN.md §4 and EXPERIMENTS.md): the paper runs PolyBench
+Scaling note: the paper runs PolyBench
 LARGE on native hardware with isl/barvinok doing the symbolic counting.  The
 pure-Python polyhedral substrate of this reproduction is orders of magnitude
 slower than isl, so the benchmark suite uses a *scaled benchmark suite*:
@@ -244,7 +244,7 @@ def triangular_line_grained(n=8) -> Scop:
 #: The scaled benchmark suite used by the per-kernel figures.  These kernels
 #: complete in seconds with the pure-Python symbolic backend; the full
 #: PolyBench kernels remain available via ``repro.scop.polybench`` for longer
-#: offline runs (see EXPERIMENTS.md).
+#: offline runs.
 SUITE = {
     "copy": copy,
     "transpose": transpose,

@@ -11,7 +11,7 @@ computation is partitioned by cache set and every set is processed
 independently (optionally restricted to a subset of sets, mirroring the
 published experiments that parallelise over 1024 sets).  The miss counts it
 produces are exact for a set-associative LRU cache, so the baseline is also
-used as an accuracy reference.  See DESIGN.md (substitutions).
+used as an accuracy reference.
 """
 
 from __future__ import annotations

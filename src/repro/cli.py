@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import tempfile
 from typing import List, Optional, Tuple
@@ -102,6 +103,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -662,7 +670,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="report path (default: BENCH_<suite>.json in the current directory)",
     )
-    bench_parser.add_argument(
+    bench_mode = bench_parser.add_mutually_exclusive_group()
+    bench_mode.add_argument(
         "--compare",
         action="store_true",
         help="compare the report against the baseline and exit 4 on regression",
@@ -675,7 +684,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     bench_parser.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=0.2,
         metavar="FRAC",
         help="allowed relative rise of wall time and work units (default: 0.2)",
@@ -685,7 +694,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="skip the wall-clock comparison (deterministic metrics only)",
     )
-    bench_parser.add_argument(
+    bench_mode.add_argument(
         "--update-baseline",
         action="store_true",
         help="write the report to the baseline path instead of comparing",

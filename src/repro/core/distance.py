@@ -14,8 +14,8 @@ no previous access at all or its previous access lies before the window
 start.  Both conditions are affine once the previous-access map is available,
 so each contribution is a parametric point count handled by
 :mod:`repro.isl.counting`.  This formulation is mathematically identical to
-the paper's ``|A ∘ (F ∩ B)|`` image count but avoids projection counting
-(see DESIGN.md, substitutions).
+the paper's ``|A ∘ (F ∩ B)|`` image count but avoids counting the points of
+a projection, which :mod:`repro.isl.counting` does not support.
 
 The result for every access is a list of disjoint pieces ``(domain,
 quasi-polynomial)`` over the statement's loop variables — the paper's

@@ -10,9 +10,8 @@ error:
 * a tree pseudo-LRU replacement policy instead of true LRU, and
 * optional next-line prefetching (overfetch).
 
-See DESIGN.md (substitutions) for the rationale.  The surrogate is
-deterministic, so "measurement noise" is zero; the paper's error metric
-(misses relative to total accesses) is computed the same way.
+The surrogate is deterministic, so "measurement noise" is zero; the paper's
+error metric (misses relative to total accesses) is computed the same way.
 """
 
 from __future__ import annotations

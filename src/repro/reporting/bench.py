@@ -23,12 +23,17 @@ Two metric families with different trust levels:
 from __future__ import annotations
 
 import json
+import math
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "SUITES",
+    "WORKLOADS",
+    "Gate",
+    "Workload",
     "compare_reports",
     "default_baseline_path",
     "load_report",
@@ -45,18 +50,8 @@ __all__ = [
 BENCH_SCHEMA = 6
 
 #: Named workload suites: kernels x datasets analysed under a deterministic
-#: work budget, plus a ``trace`` simulator workload that times the concrete
-#: pipeline under both backends and records the numpy-vs-python speedup
-#: (the fig10 simulator-accuracy path), plus a ``curve`` workload that
-#: measures the cost of a many-point capacity sweep via
-#: :class:`~repro.core.MissCurve` against a single fixed-capacity analysis,
-#: plus a ``symbolic`` workload that times the bulk chamber/grid evaluator
-#: (:mod:`repro.isl.veceval`) against the pure-Python piecewise walk, plus a
-#: ``serve`` workload that load-tests a live analysis server (coalescing,
-#: admission control, store dedup, request latency), plus an ``explore``
-#: workload that prices a design-space grid (:mod:`repro.explore`) against
-#: independent per-configuration analyses and pins its Pareto table.
-#: ``smoke`` finishes in seconds (CI gate); ``full`` covers the whole
+#: work budget, plus one config per row of :data:`WORKLOADS` that the suite
+#: runs.  ``smoke`` finishes in seconds (CI gate); ``full`` covers the whole
 #: PolyBench registry for offline trend tracking.
 SUITES: Dict[str, Dict] = {
     "smoke": {
@@ -186,49 +181,71 @@ def _trace_workload_scop(size: int):
     return builder.build()
 
 
-def _run_trace_workload(config: Dict) -> Dict:
-    """Time the concrete simulator pipeline under both backends.
+def _time_backends(run: Callable[[str], Tuple[Any, float]], rounds: int) -> Tuple[Any, Dict, Any]:
+    """Time ``run(backend) -> (result, seconds)`` under both backends.
 
-    Runs the fig10 simulator-accuracy path — one fully associative level and
-    one 4-way LRU level over the full trace — once with the pure-Python
-    reference and ``rounds`` times with the vectorized backend (best run
-    counts, the reference is the slow side and is measured once).  Records
-    the speedup ratio and whether the two backends produced identical miss
-    counts; :func:`compare_reports` gates on both.
+    The pure-Python reference is the slow side and runs once; the NumPy
+    backend (when installed) runs ``rounds`` times and its best run counts.
+    Returns the reference result, the report's timing fields
+    (``python_seconds``, ``numpy_available``, ``numpy_seconds``, ``speedup``,
+    ``results_match``) and the last NumPy result that disagreed with the
+    reference (``None`` when every round agreed).
     """
-    from ..simulator import CacheLevelConfig, DineroSimulator, numpy_available
+    from ..isl.veceval import numpy_available
 
-    size = config.get("size", 14)
-    rounds = max(1, int(config.get("rounds", 3)))
-    scop = _trace_workload_scop(size)
-    levels = [
-        CacheLevelConfig(cache_size=16 * 64, line_size=64, associativity=None),
-        CacheLevelConfig(cache_size=128 * 64, line_size=64, associativity=4),
-    ]
-    python_result = DineroSimulator(levels, backend="python").run(scop)
-    entry: Dict = {
-        "kernel": scop.name,
-        "accesses": python_result.accesses,
-        "misses": [stats.misses for stats in python_result.levels],
-        "python_seconds": python_result.elapsed_seconds,
+    reference, python_seconds = run("python")
+    timing: Dict = {
+        "python_seconds": python_seconds,
         "numpy_available": numpy_available(),
         "numpy_seconds": None,
         "speedup": None,
         "results_match": True,
+    }
+    disagreement = None
+    if not timing["numpy_available"]:
+        return reference, timing, disagreement
+    best = None
+    for _ in range(max(1, int(rounds))):
+        result, seconds = run("numpy")
+        best = seconds if best is None else min(best, seconds)
+        if result != reference:
+            timing["results_match"] = False
+            disagreement = result
+    timing["numpy_seconds"] = best
+    timing["speedup"] = python_seconds / best if best else None
+    return reference, timing, disagreement
+
+
+def _run_trace_workload(config: Dict) -> Dict:
+    """Time the concrete simulator pipeline under both backends.
+
+    Runs the fig10 simulator-accuracy path — one fully associative level and
+    one 4-way LRU level over the full trace — through
+    :func:`_time_backends`, recording the speedup ratio and whether the two
+    backends produced identical miss counts.
+    """
+    from ..simulator import CacheLevelConfig, DineroSimulator
+
+    scop = _trace_workload_scop(config.get("size", 14))
+    levels = [
+        CacheLevelConfig(cache_size=16 * 64, line_size=64, associativity=None),
+        CacheLevelConfig(cache_size=128 * 64, line_size=64, associativity=4),
+    ]
+
+    def simulate(backend: str):
+        result = DineroSimulator(levels, backend=backend).run(scop)
+        return (result.accesses, [stats.misses for stats in result.levels]), result.elapsed_seconds
+
+    (accesses, misses), timing, disagreement = _time_backends(simulate, config.get("rounds", 3))
+    entry: Dict = {
+        "kernel": scop.name,
+        "accesses": accesses,
+        "misses": misses,
+        **timing,
         "min_speedup": config.get("min_speedup", 10.0),
     }
-    if not numpy_available():
-        return entry
-    simulator = DineroSimulator(levels, backend="numpy")
-    best = None
-    for _ in range(rounds):
-        numpy_result = simulator.run(scop)
-        best = numpy_result.elapsed_seconds if best is None else min(best, numpy_result.elapsed_seconds)
-        if [stats.misses for stats in numpy_result.levels] != entry["misses"]:
-            entry["results_match"] = False
-            entry["numpy_misses"] = [stats.misses for stats in numpy_result.levels]
-    entry["numpy_seconds"] = best
-    entry["speedup"] = python_result.elapsed_seconds / best if best else None
+    if disagreement is not None:
+        entry["numpy_misses"] = disagreement[1]
     return entry
 
 
@@ -331,25 +348,19 @@ def _run_symbolic_workload(config: Dict) -> Dict:
     capacity chambers of every distance piece of the curve-workload matvec
     are extracted once (symbolic work, untimed — identical for both
     backends), then evaluated over a dense capacity grid of ``points``
-    capacities — once with the pure-Python piecewise walk and ``rounds``
-    times with the :mod:`repro.isl.veceval` bulk evaluator (best run
-    counts, the reference is the slow side and is measured once).  The two
+    capacities through :func:`_time_backends` — the pure-Python piecewise
+    walk against the :mod:`repro.isl.veceval` bulk evaluator.  The two
     backends must produce byte-identical per-capacity totals; the report
-    records a digest of the totals so :func:`compare_reports` can gate on
-    accuracy drift as well as on the speedup floor.
+    records a digest of the totals so the baseline can pin them.
     """
     import hashlib
 
     from ..core.capacity import CAPACITY_PARAM, CapacityCounter
     from ..core.distance import StackDistanceAnalysis
     from ..isl.counting import piecewise_values
-    from ..isl.veceval import numpy_available
 
-    size = int(config.get("size", 32))
-    points = int(config.get("points", 1024))
-    rounds = max(1, int(config.get("rounds", 3)))
-    scop = _curve_workload_scop(size)
-    grid = list(range(1, points + 1))
+    scop = _curve_workload_scop(int(config.get("size", 32)))
+    grid = list(range(1, int(config.get("points", 1024)) + 1))
     chamber_sets = []
     for access_distances in StackDistanceAnalysis(scop, line_size=64).analyze():
         counter = CapacityCounter(access_distances.access.statement.loop_vars)
@@ -360,7 +371,8 @@ def _run_symbolic_workload(config: Dict) -> Dict:
             if chambers:
                 chamber_sets.append(chambers)
 
-    def evaluate(backend: str) -> List[int]:
+    def evaluate(backend: str):
+        start = time.perf_counter()
         totals = [0] * len(grid)
         for chambers in chamber_sets:
             values = piecewise_values(chambers, {CAPACITY_PARAM: grid}, backend=backend)
@@ -368,36 +380,17 @@ def _run_symbolic_workload(config: Dict) -> Dict:
                 raise RuntimeError("symbolic workload: chamber evaluation failed")
             for index, value in enumerate(values):
                 totals[index] += value
-        return totals
+        return totals, time.perf_counter() - start
 
-    start = time.perf_counter()
-    python_totals = evaluate("python")
-    python_seconds = time.perf_counter() - start
-    entry: Dict = {
+    totals, timing, _ = _time_backends(evaluate, config.get("rounds", 3))
+    return {
         "kernel": scop.name,
         "chamber_sets": len(chamber_sets),
         "points": len(grid),
-        "python_seconds": python_seconds,
-        "totals_sha256": hashlib.sha256(json.dumps(python_totals).encode("ascii")).hexdigest(),
-        "numpy_available": numpy_available(),
-        "numpy_seconds": None,
-        "speedup": None,
-        "results_match": True,
+        "totals_sha256": hashlib.sha256(json.dumps(totals).encode("ascii")).hexdigest(),
+        **timing,
         "min_speedup": config.get("min_speedup", 3.0),
     }
-    if not numpy_available():
-        return entry
-    best = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        numpy_totals = evaluate("numpy")
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-        if numpy_totals != python_totals:
-            entry["results_match"] = False
-    entry["numpy_seconds"] = best
-    entry["speedup"] = python_seconds / best if best else None
-    return entry
 
 
 #: Inline ``.knl`` program shipped by the serve workload's coalesce probe.
@@ -587,12 +580,12 @@ def _run_explore_workload(config: Dict) -> Dict:
     parametric :class:`~repro.core.MissCurve` breakpoints), so its wall time
     must stay under ``max_cost_ratio`` times the independent sweep.
 
-    The ranked table is re-derived with the pure-Python backend, with the
-    NumPy backend (when installed), and with two piece workers; all must
-    produce a byte-identical :meth:`~repro.explore.ExploreResult.table_digest`
-    — the determinism half of the explore acceptance gate.  The digest also
-    rides into the report so :func:`compare_reports` can hold the table
-    stable against the committed baseline.
+    The ranked table is re-derived with the pure-Python backend and with the
+    NumPy backend (when installed); both must produce a byte-identical
+    :meth:`~repro.explore.ExploreResult.table_digest` — the determinism half
+    of the explore acceptance gate.  The digest also rides into the report
+    so :func:`compare_reports` can hold the table stable against the
+    committed baseline.
     """
     from ..api import Session
     from ..scop.schedule import tile_scop
@@ -630,15 +623,11 @@ def _run_explore_workload(config: Dict) -> Dict:
             independent += 1
     independent_seconds = time.perf_counter() - start
 
-    backends_match = (
-        grid_session().backend("python").explore(scop, tiles=tiles, capacities=capacities).table_digest()
-        == digest
+    backends = ["python", "numpy"] if numpy_available() else ["python"]
+    backends_match = all(
+        grid_session().backend(backend).explore(scop, tiles=tiles, capacities=capacities).table_digest() == digest
+        for backend in backends
     )
-    if numpy_available():
-        backends_match = backends_match and (
-            grid_session().backend("numpy").explore(scop, tiles=tiles, capacities=capacities).table_digest()
-            == digest
-        )
     return {
         "kernel": scop.name,
         "tiles": tiles,
@@ -655,6 +644,329 @@ def _run_explore_workload(config: Dict) -> Dict:
         "backends_match": backends_match,
         "numpy_available": numpy_available(),
     }
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One regression check on a workload's report entry.
+
+    ``kind`` decides what the gate compares:
+
+    * ``"holds"`` — ``check(now)`` must be true of the current entry (by
+      default: ``now[field]`` is not ``False``);
+    * ``"exact"`` — ``now[field]`` must equal the baseline's (skipped when
+      the baseline has no value);
+    * ``"floor"`` / ``"ceiling"`` — ``now[field]`` must stay at least / at
+      most the entry's own threshold field ``limit`` (the baseline's when
+      the entry has none);
+    * ``"collapse"`` — ``now[field]`` must stay within ``factor`` times the
+      baseline's: at least that when ``factor < 1`` (a speedup), at most
+      when ``factor > 1`` (a latency).  ``per_calibration`` first divides
+      both values by their report's ``calibration_seconds``.
+
+    Floors, ceilings and collapses are skipped when the value or the
+    threshold is missing.  ``wall`` marks a wall-clock gate, skipped with
+    ``check_wall=False``.  ``message(now, base, value, reference)`` renders
+    the regression, where ``reference`` is the baseline value or threshold
+    the value was held against.
+    """
+
+    kind: str
+    field: str
+    message: Callable[[Dict, Dict, Any, Any], str]
+    check: Optional[Callable[[Dict], bool]] = None
+    limit: str = ""
+    factor: float = 1.0
+    per_calibration: bool = False
+    wall: bool = False
+
+    def regression(self, now: Dict, base: Dict, current: Dict, baseline: Dict) -> Optional[str]:
+        """The regression message when ``now`` fails this gate, else ``None``."""
+        value = now.get(self.field)
+        reference = base.get(self.field)
+        if self.kind == "holds":
+            holds = self.check(now) if self.check else value is not False
+            return None if holds else self.message(now, base, value, None)
+        if self.kind == "exact":
+            failed = reference is not None and value != reference
+            return self.message(now, base, value, reference) if failed else None
+        if self.kind == "collapse":
+            if self.per_calibration:
+                value = _per_calibration(value, current)
+                reference = _per_calibration(reference, baseline)
+            threshold = reference * self.factor if reference else None
+            floor = self.factor < 1
+        else:
+            reference = threshold = now.get(self.limit) or base.get(self.limit)
+            floor = self.kind == "floor"
+        if value is None or not threshold:
+            return None
+        failed = value < threshold if floor else value > threshold
+        return self.message(now, base, value, reference) if failed else None
+
+
+@dataclass(frozen=True)
+class Workload:
+    """One row of :data:`WORKLOADS`: a report section and its gates.
+
+    ``run(config)`` produces the section from the suite's config of the
+    same name, every gate in ``gates`` is applied to it by
+    :func:`compare_reports`, and ``summary(entry)`` is its line in
+    :func:`format_bench_summary`.
+    """
+
+    name: str
+    run: Callable[[Dict], Dict]
+    gates: Tuple[Gate, ...]
+    summary: Callable[[Dict], str]
+
+
+def _per_calibration(seconds: Optional[float], report: Dict) -> Optional[float]:
+    """``seconds`` in units of the report's calibration time (or ``None``)."""
+    calibration = report.get("calibration_seconds") or 0.0
+    if not calibration or seconds is None:
+        return None
+    return seconds / calibration
+
+
+def _speedup_text(entry: Dict) -> str:
+    if entry.get("speedup") is None:
+        return f"python {entry.get('python_seconds', 0.0):.3f}s (NumPy not installed; no speedup measured)"
+    return (
+        f"python {entry.get('python_seconds', 0.0):.3f}s, numpy {entry.get('numpy_seconds', 0.0):.4f}s "
+        f"({entry['speedup']:.1f}x speedup, floor {entry.get('min_speedup', 0):.0f}x)"
+    )
+
+
+def _ratio_text(ratio: Optional[float]) -> str:
+    return f"{ratio:.2f}x" if ratio is not None else "n/a"
+
+
+def _latency_text(entry: Dict) -> str:
+    p50, p95 = entry.get("p50_seconds"), entry.get("p95_seconds")
+    if p50 is None or p95 is None:
+        return "no latency samples"
+    return f"p50 {p50 * 1000:.1f}ms / p95 {p95 * 1000:.1f}ms"
+
+
+#: Every optional workload of a suite, in the order :func:`run_suite` runs
+#: them.  Adding a workload means adding one row here (and its config to
+#: :data:`SUITES`); :func:`compare_reports` flags a row whose section the
+#: baseline has but the current report lacks, then applies its gates.
+WORKLOADS: Tuple[Workload, ...] = (
+    Workload(
+        "trace",
+        _run_trace_workload,
+        (
+            Gate(
+                "holds",
+                "results_match",
+                lambda now, *_: "accuracy: trace workload backends disagree "
+                f"(python {now.get('misses')}, numpy {now.get('numpy_misses')})",
+            ),
+            Gate(
+                "exact",
+                "misses",
+                lambda now, base, value, reference: "accuracy: trace workload miss counts changed "
+                f"(baseline {reference}, current {value})",
+            ),
+            Gate(
+                "floor",
+                "speedup",
+                lambda now, base, value, reference: f"performance: trace simulator speedup {value:.1f}x "
+                f"is below the suite floor of {reference:.0f}x (python {now.get('python_seconds', 0):.3f}s, "
+                f"numpy {now.get('numpy_seconds', 0):.4f}s)",
+                limit="min_speedup",
+            ),
+            Gate(
+                "collapse",
+                "speedup",
+                lambda now, base, value, reference: "performance: trace simulator speedup collapsed "
+                f"{reference:.1f}x -> {value:.1f}x (under a quarter of baseline)",
+                factor=0.25,
+            ),
+        ),
+        lambda entry: f"trace workload: {entry.get('accesses', 0)} accesses, {_speedup_text(entry)}",
+    ),
+    Workload(
+        "curve",
+        _run_curve_workload,
+        (
+            Gate(
+                "holds",
+                "counts_match",
+                lambda *_: "accuracy: curve workload sweep counts disagree with the exact trace reference",
+            ),
+            Gate(
+                "exact",
+                "sweep_misses",
+                lambda *_: "accuracy: curve workload sweep counts changed against the baseline",
+            ),
+            Gate(
+                "holds",
+                "used_fallback",
+                lambda *_: "accuracy: curve workload fell back to the trace (the sweep must "
+                "exercise the symbolic curve)",
+                check=lambda entry: not entry.get("used_fallback"),
+            ),
+            Gate(
+                "ceiling",
+                "sweep_ratio",
+                lambda now, base, value, reference: f"performance: {now.get('points', 0)}-point curve "
+                f"sweep costs {value:.2f}x a single fixed-capacity analysis (ceiling {reference:.1f}x; "
+                f"single {now.get('single_seconds', 0):.2f}s, sweep {now.get('sweep_seconds', 0):.2f}s)",
+                limit="max_ratio",
+                wall=True,
+            ),
+        ),
+        lambda entry: f"curve workload: {entry.get('points', 0)}-point sweep in "
+        f"{entry.get('sweep_seconds', 0.0):.2f}s vs single analysis {entry.get('single_seconds', 0.0):.2f}s "
+        f"({_ratio_text(entry.get('sweep_ratio'))}, ceiling {entry.get('max_ratio', 0):.1f}x), "
+        f"counts {'match' if entry.get('counts_match') else 'DIFFER'}",
+    ),
+    Workload(
+        "symbolic",
+        _run_symbolic_workload,
+        (
+            Gate(
+                "holds",
+                "results_match",
+                lambda *_: "accuracy: symbolic workload evaluation backends disagree on the "
+                "per-capacity totals",
+            ),
+            Gate(
+                "exact",
+                "totals_sha256",
+                lambda *_: "accuracy: symbolic workload per-capacity totals changed against the baseline",
+            ),
+            Gate(
+                "floor",
+                "speedup",
+                lambda now, base, value, reference: "performance: symbolic chamber evaluation speedup "
+                f"{value:.1f}x is below the suite floor of {reference:.0f}x "
+                f"(python {now.get('python_seconds', 0):.3f}s, numpy {now.get('numpy_seconds', 0):.4f}s)",
+                limit="min_speedup",
+            ),
+            Gate(
+                "collapse",
+                "speedup",
+                lambda now, base, value, reference: "performance: symbolic chamber evaluation speedup "
+                f"collapsed {reference:.1f}x -> {value:.1f}x (under a quarter of baseline)",
+                factor=0.25,
+            ),
+        ),
+        lambda entry: f"symbolic workload: {entry.get('chamber_sets', 0)} chamber sets x "
+        f"{entry.get('points', 0)} capacities, {_speedup_text(entry)}, "
+        f"totals {'match' if entry.get('results_match') else 'DIFFER'}",
+    ),
+    Workload(
+        "serve",
+        _run_serve_workload,
+        (
+            Gate(
+                "holds",
+                "errors",
+                lambda now, *_: f"accuracy: serve workload saw {now['errors']} failed request(s) "
+                f"out of {now.get('requests', 0)}",
+                check=lambda entry: not entry.get("errors"),
+            ),
+            Gate(
+                "holds",
+                "probe_coalesced",
+                lambda now, *_: "performance: serve workload batch duplicates failed to coalesce "
+                f"({now.get('probe_coalesced', 0)}/2 duplicate responses coalesced)",
+                check=lambda entry: entry.get("probe_ok", True) and entry.get("probe_coalesced", 0) >= 2,
+            ),
+            Gate(
+                "holds",
+                "shed_ok",
+                lambda *_: "accuracy: serve workload unlimited-budget request was not shed with 429/budget",
+            ),
+            Gate(
+                "holds",
+                "engine_jobs",
+                lambda now, *_: f"performance: serve workload ran {now.get('engine_jobs')} engine jobs for "
+                f"{now.get('unique_specs')} unique specs (every duplicate must coalesce or hit the store)",
+                check=lambda entry: None in (entry.get("engine_jobs"), entry.get("unique_specs"))
+                or entry["engine_jobs"] == entry["unique_specs"],
+            ),
+            Gate(
+                "holds",
+                "dedup",
+                lambda now, *_: "performance: serve workload dedup accounting broke "
+                f"({now.get('coalesced')} coalesced + {now.get('cached')} store-cached "
+                f"!= {now.get('dedup')} duplicates)",
+                check=lambda entry: entry.get("dedup") is None
+                or (entry.get("coalesced") or 0) + (entry.get("cached") or 0) == entry["dedup"],
+            ),
+            Gate(
+                "holds",
+                "cached",
+                lambda *_: "performance: serve workload store served no duplicate (store hit rate is zero)",
+                check=lambda entry: entry.get("cached", 0) >= 1,
+            ),
+            Gate(
+                "holds",
+                "payloads_identical",
+                lambda *_: "accuracy: serve workload responses for one spec are not byte-identical",
+            ),
+            Gate(
+                "exact",
+                "misses",
+                lambda now, base, value, reference: "accuracy: serve workload per-kernel miss counts "
+                f"changed (baseline {reference}, current {value})",
+            ),
+            # Loopback request latencies are far noisier than whole-suite wall
+            # time, so the gate is collapse-style, not the regular tolerance.
+            Gate(
+                "collapse",
+                "p95_seconds",
+                lambda now, base, value, reference: "performance: serve workload p95 request latency "
+                f"rose {reference:.2f}x -> {value:.2f}x calibration (> 4x baseline; raw "
+                f"{(base.get('p95_seconds') or 0) * 1000:.1f}ms -> {(now.get('p95_seconds') or 0) * 1000:.1f}ms)",
+                factor=4.0,
+                per_calibration=True,
+                wall=True,
+            ),
+        ),
+        lambda entry: f"serve workload: {entry.get('requests', 0)} requests over "
+        f"{entry.get('unique_specs', 0)} unique specs on {entry.get('workers', 0)} worker(s): "
+        f"{entry.get('engine_jobs', 0)} engine jobs, {entry.get('coalesced', 0)} coalesced, "
+        f"{entry.get('cached', 0)} store hits, {entry.get('errors', 0)} errors, {_latency_text(entry)}",
+    ),
+    Workload(
+        "explore",
+        _run_explore_workload,
+        (
+            Gate(
+                "holds",
+                "backends_match",
+                lambda *_: "accuracy: explore workload table is not byte-identical across backends",
+            ),
+            Gate(
+                "exact",
+                "table_digest",
+                lambda *_: "accuracy: explore workload ranked table changed against the baseline",
+            ),
+            Gate(
+                "ceiling",
+                "cost_ratio",
+                lambda now, base, value, reference: f"performance: {now.get('grid_size', 0)}-configuration "
+                f"explore grid costs {value:.2f}x the {now.get('independent_analyses', 0)} independent "
+                f"analyses (ceiling {reference:.2f}x; grid {now.get('grid_seconds', 0):.2f}s, "
+                f"independent {now.get('independent_seconds', 0):.2f}s)",
+                limit="max_cost_ratio",
+                wall=True,
+            ),
+        ),
+        lambda entry: f"explore workload: {entry.get('grid_size', 0)}-config grid "
+        f"({entry.get('analyses', 0)} analyses) in {entry.get('grid_seconds', 0.0):.2f}s "
+        f"vs {entry.get('independent_analyses', 0)} independent analyses "
+        f"{entry.get('independent_seconds', 0.0):.2f}s ({_ratio_text(entry.get('cost_ratio'))}, "
+        f"ceiling {entry.get('max_cost_ratio', 0):.2f}x), "
+        f"tables {'identical' if entry.get('backends_match') else 'DIFFER'}",
+    ),
+)
 
 
 def run_suite(
@@ -681,11 +993,10 @@ def run_suite(
         .levels(*[tuple(levels) for levels in config["levels"]])
     )
     calibration = _calibrate()
-    trace_entry = _run_trace_workload(config["trace"]) if config.get("trace") else None
-    curve_entry = _run_curve_workload(config["curve"]) if config.get("curve") else None
-    symbolic_entry = _run_symbolic_workload(config["symbolic"]) if config.get("symbolic") else None
-    serve_entry = _run_serve_workload(config["serve"]) if config.get("serve") else None
-    explore_entry = _run_explore_workload(config["explore"]) if config.get("explore") else None
+    sections = {
+        workload.name: workload.run(config[workload.name]) if config.get(workload.name) else None
+        for workload in WORKLOADS
+    }
     batch = request.run()
 
     job_entries = []
@@ -723,7 +1034,7 @@ def run_suite(
     # store replay the counters of the run that originally computed them, so
     # they are excluded here (per-job entries keep them, flagged ``cached``).
     computed = [r.result for r in batch.records if r.result is not None and not r.cached]
-    report = {
+    return {
         "schema_version": BENCH_SCHEMA,
         "suite": suite,
         "wall_seconds": batch.elapsed_seconds,
@@ -742,13 +1053,8 @@ def run_suite(
             "store_misses": batch.cardinality_store_misses,
         },
         "store": dict(batch.store_stats) if batch.store_stats is not None else None,
-        "trace": trace_entry,
-        "curve": curve_entry,
-        "symbolic": symbolic_entry,
-        "serve": serve_entry,
-        "explore": explore_entry,
+        **sections,
     }
-    return report
 
 
 def write_report(report: Dict, path) -> None:
@@ -768,14 +1074,6 @@ def _job_key(entry: Dict):
     return (entry["kernel"], entry["dataset"], tuple(entry["levels"]))
 
 
-def _normalized_wall(report: Dict) -> Optional[float]:
-    calibration = report.get("calibration_seconds") or 0.0
-    wall = report.get("wall_seconds")
-    if not calibration or wall is None:
-        return None
-    return wall / calibration
-
-
 def compare_reports(
     current: Dict,
     baseline: Dict,
@@ -792,39 +1090,15 @@ def compare_reports(
     * calibration-normalized wall time beyond the same factor is a wall-clock
       regression (skipped with ``check_wall=False`` or when either report
       lacks a calibration measurement);
-    * the ``trace`` simulator workload regresses when the two backends
-      disagree on miss counts (accuracy), when its miss counts drift from the
-      baseline, or when the numpy-vs-python speedup drops below the suite
-      floor (``min_speedup``, the paper-claim gate) or collapses to under a
-      quarter of the baseline ratio.  The speedup gate is skipped when NumPy
-      is not installed (the backend is an optional extra);
-    * the ``curve`` sweep workload regresses when the miss-curve counts
-      disagree with the exact trace reference or drift from the baseline
-      (accuracy), or when the many-point sweep costs more than ``max_ratio``
-      times a single fixed-capacity analysis (wall clock; skipped with
-      ``check_wall=False``);
-    * the ``symbolic`` chamber-evaluation workload regresses when the two
-      evaluation backends disagree on the per-capacity totals (accuracy),
-      when the totals digest drifts from the baseline, or when the
-      numpy-vs-python evaluation speedup drops below the suite floor
-      (``min_speedup``) or collapses to under a quarter of the baseline
-      ratio.  Like ``trace``, the speedup gate is skipped when NumPy is not
-      installed;
-    * the ``serve`` live-server workload regresses on any failed request,
-      on per-kernel miss counts drifting from the baseline or duplicate
-      responses not being byte-identical (accuracy), on a broken service
-      guarantee — batch duplicates not coalescing, unlimited budgets not
-      shed, more engine jobs than unique specs, duplicates unaccounted by
-      ``coalesced + cached`` — and on calibration-normalized p95 request
-      latency collapsing past 4x the baseline (wall clock; skipped with
-      ``check_wall=False``);
-    * the ``explore`` design-space workload regresses when the ranked table
-      is not byte-identical across backends, or when its
-      digest drifts from the baseline (accuracy — the grid is deterministic),
-      or when the grid costs more than ``max_cost_ratio`` times the
-      equivalent independent analyses (wall clock; skipped with
-      ``check_wall=False``).
+    * every row of :data:`WORKLOADS` regresses when the baseline has its
+      section and the current report does not, and on every failed
+      :class:`Gate` (wall-clock gates skipped with ``check_wall=False``).
+
+    ``tolerance`` must be a finite number >= 0; anything else raises
+    :class:`ValueError` (a NaN or infinite tolerance would pass any rise).
     """
+    if not math.isfinite(tolerance) or tolerance < 0:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     regressions: List[str] = []
     if current.get("suite") != baseline.get("suite"):
         regressions.append(
@@ -868,15 +1142,23 @@ def compare_reports(
             f"(> {tolerance:.0%} over baseline)"
         )
 
-    regressions.extend(_compare_trace_workload(current, baseline, tolerance=tolerance))
-    regressions.extend(_compare_curve_workload(current, baseline, check_wall=check_wall))
-    regressions.extend(_compare_symbolic_workload(current, baseline))
-    regressions.extend(_compare_serve_workload(current, baseline, check_wall=check_wall))
-    regressions.extend(_compare_explore_workload(current, baseline, check_wall=check_wall))
+    for workload in WORKLOADS:
+        now = current.get(workload.name)
+        base = baseline.get(workload.name)
+        if now is None:
+            if base is not None:
+                regressions.append(f"accuracy: {workload.name} workload missing from current report")
+            continue
+        for gate in workload.gates:
+            if gate.wall and not check_wall:
+                continue
+            message = gate.regression(now, base or {}, current, baseline)
+            if message:
+                regressions.append(message)
 
     if check_wall:
-        baseline_norm = _normalized_wall(baseline)
-        current_norm = _normalized_wall(current)
+        baseline_norm = _per_calibration(baseline.get("wall_seconds"), baseline)
+        current_norm = _per_calibration(current.get("wall_seconds"), current)
         if baseline_norm and current_norm and current_norm > baseline_norm * (1.0 + tolerance):
             regressions.append(
                 "performance: calibration-normalized wall time rose "
@@ -884,239 +1166,6 @@ def compare_reports(
                 f"(> {tolerance:.0%} over baseline; raw {baseline.get('wall_seconds', 0):.2f}s -> "
                 f"{current.get('wall_seconds', 0):.2f}s)"
             )
-    return regressions
-
-
-def _compare_trace_workload(current: Dict, baseline: Dict, *, tolerance: float) -> List[str]:
-    """Trace-workload regressions (see :func:`compare_reports`)."""
-    regressions: List[str] = []
-    now = current.get("trace")
-    base = baseline.get("trace")
-    if now is None:
-        if base is not None:
-            regressions.append("accuracy: trace workload missing from current report")
-        return regressions
-    if now.get("results_match") is False:
-        regressions.append(
-            "accuracy: trace workload backends disagree "
-            f"(python {now.get('misses')}, numpy {now.get('numpy_misses')})"
-        )
-    if base and base.get("misses") is not None and now.get("misses") != base.get("misses"):
-        regressions.append(
-            f"accuracy: trace workload miss counts changed "
-            f"(baseline {base.get('misses')}, current {now.get('misses')})"
-        )
-    speedup = now.get("speedup")
-    if speedup is None:
-        # No NumPy in this environment: the vectorized backend is an optional
-        # extra, so the speedup gate cannot apply.
-        return regressions
-    floor = now.get("min_speedup") or (base or {}).get("min_speedup") or 0.0
-    if floor and speedup < floor:
-        regressions.append(
-            f"performance: trace simulator speedup {speedup:.1f}x is below the "
-            f"suite floor of {floor:.0f}x (python {now.get('python_seconds', 0):.3f}s, "
-            f"numpy {now.get('numpy_seconds', 0):.4f}s)"
-        )
-    baseline_speedup = (base or {}).get("speedup")
-    if baseline_speedup and speedup < baseline_speedup * 0.25:
-        regressions.append(
-            f"performance: trace simulator speedup collapsed "
-            f"{baseline_speedup:.1f}x -> {speedup:.1f}x (under a quarter of baseline)"
-        )
-    return regressions
-
-
-def _compare_curve_workload(current: Dict, baseline: Dict, *, check_wall: bool) -> List[str]:
-    """Curve-sweep workload regressions (see :func:`compare_reports`)."""
-    regressions: List[str] = []
-    now = current.get("curve")
-    base = baseline.get("curve")
-    if now is None:
-        if base is not None:
-            regressions.append("accuracy: curve workload missing from current report")
-        return regressions
-    if now.get("counts_match") is False:
-        regressions.append(
-            "accuracy: curve workload sweep counts disagree with the exact trace reference"
-        )
-    if (
-        base
-        and base.get("sweep_misses") is not None
-        and now.get("sweep_misses") != base.get("sweep_misses")
-    ):
-        regressions.append(
-            "accuracy: curve workload sweep counts changed against the baseline"
-        )
-    if now.get("used_fallback"):
-        regressions.append(
-            "accuracy: curve workload fell back to the trace (the sweep must "
-            "exercise the symbolic curve)"
-        )
-    ratio = now.get("sweep_ratio")
-    ceiling = now.get("max_ratio") or (base or {}).get("max_ratio") or 0.0
-    if check_wall and ratio is not None and ceiling and ratio > ceiling:
-        regressions.append(
-            f"performance: {now.get('points', 0)}-point curve sweep costs "
-            f"{ratio:.2f}x a single fixed-capacity analysis (ceiling {ceiling:.1f}x; "
-            f"single {now.get('single_seconds', 0):.2f}s, sweep {now.get('sweep_seconds', 0):.2f}s)"
-        )
-    return regressions
-
-
-def _compare_symbolic_workload(current: Dict, baseline: Dict) -> List[str]:
-    """Symbolic chamber-evaluation regressions (see :func:`compare_reports`)."""
-    regressions: List[str] = []
-    now = current.get("symbolic")
-    base = baseline.get("symbolic")
-    if now is None:
-        if base is not None:
-            regressions.append("accuracy: symbolic workload missing from current report")
-        return regressions
-    if now.get("results_match") is False:
-        regressions.append(
-            "accuracy: symbolic workload evaluation backends disagree on the "
-            "per-capacity totals"
-        )
-    if (
-        base
-        and base.get("totals_sha256")
-        and now.get("totals_sha256") != base.get("totals_sha256")
-    ):
-        regressions.append(
-            "accuracy: symbolic workload per-capacity totals changed against the baseline"
-        )
-    speedup = now.get("speedup")
-    if speedup is None:
-        # No NumPy in this environment: the bulk evaluator is an optional
-        # extra, so the speedup gate cannot apply.
-        return regressions
-    floor = now.get("min_speedup") or (base or {}).get("min_speedup") or 0.0
-    if floor and speedup < floor:
-        regressions.append(
-            f"performance: symbolic chamber evaluation speedup {speedup:.1f}x is "
-            f"below the suite floor of {floor:.0f}x "
-            f"(python {now.get('python_seconds', 0):.3f}s, "
-            f"numpy {now.get('numpy_seconds', 0):.4f}s)"
-        )
-    baseline_speedup = (base or {}).get("speedup")
-    if baseline_speedup and speedup < baseline_speedup * 0.25:
-        regressions.append(
-            f"performance: symbolic chamber evaluation speedup collapsed "
-            f"{baseline_speedup:.1f}x -> {speedup:.1f}x (under a quarter of baseline)"
-        )
-    return regressions
-
-
-def _serve_normalized_p95(report: Dict) -> Optional[float]:
-    """The serve workload's p95 latency in calibration units (or ``None``)."""
-    serve = report.get("serve") or {}
-    calibration = report.get("calibration_seconds") or 0.0
-    p95 = serve.get("p95_seconds")
-    if not calibration or p95 is None:
-        return None
-    return p95 / calibration
-
-
-def _compare_serve_workload(current: Dict, baseline: Dict, *, check_wall: bool) -> List[str]:
-    """Live-server workload regressions (see :func:`compare_reports`)."""
-    regressions: List[str] = []
-    now = current.get("serve")
-    base = baseline.get("serve")
-    if now is None:
-        if base is not None:
-            regressions.append("accuracy: serve workload missing from current report")
-        return regressions
-    if now.get("errors"):
-        regressions.append(
-            f"accuracy: serve workload saw {now['errors']} failed request(s) "
-            f"out of {now.get('requests', 0)}"
-        )
-    if not now.get("probe_ok", True) or now.get("probe_coalesced", 0) < 2:
-        regressions.append(
-            "performance: serve workload batch duplicates failed to coalesce "
-            f"({now.get('probe_coalesced', 0)}/2 duplicate responses coalesced)"
-        )
-    if not now.get("shed_ok", True):
-        regressions.append(
-            "accuracy: serve workload unlimited-budget request was not shed "
-            "with 429/budget"
-        )
-    engine_jobs = now.get("engine_jobs")
-    unique = now.get("unique_specs")
-    if engine_jobs is not None and unique is not None and engine_jobs != unique:
-        regressions.append(
-            f"performance: serve workload ran {engine_jobs} engine jobs for "
-            f"{unique} unique specs (every duplicate must coalesce or hit the store)"
-        )
-    dedup = now.get("dedup")
-    accounted = (now.get("coalesced") or 0) + (now.get("cached") or 0)
-    if dedup is not None and accounted != dedup:
-        regressions.append(
-            f"performance: serve workload dedup accounting broke "
-            f"({now.get('coalesced')} coalesced + {now.get('cached')} store-cached "
-            f"!= {dedup} duplicates)"
-        )
-    if now.get("cached", 0) < 1:
-        regressions.append(
-            "performance: serve workload store served no duplicate "
-            "(store hit rate is zero)"
-        )
-    if now.get("payloads_identical") is False:
-        regressions.append(
-            "accuracy: serve workload responses for one spec are not byte-identical"
-        )
-    if base and base.get("misses") and now.get("misses") != base.get("misses"):
-        regressions.append(
-            "accuracy: serve workload per-kernel miss counts changed "
-            f"(baseline {base.get('misses')}, current {now.get('misses')})"
-        )
-    if check_wall:
-        # Loopback request latencies are far noisier than whole-suite wall
-        # time, so the gate is collapse-style: 4x the baseline's
-        # calibration-normalized p95, not the regular tolerance.
-        baseline_norm = _serve_normalized_p95(baseline)
-        current_norm = _serve_normalized_p95(current)
-        if baseline_norm and current_norm and current_norm > baseline_norm * 4.0:
-            regressions.append(
-                "performance: serve workload p95 request latency rose "
-                f"{baseline_norm:.2f}x -> {current_norm:.2f}x calibration "
-                f"(> 4x baseline; raw {((baseline.get('serve') or {}).get('p95_seconds') or 0) * 1000:.1f}ms -> "
-                f"{(now.get('p95_seconds') or 0) * 1000:.1f}ms)"
-            )
-    return regressions
-
-
-def _compare_explore_workload(current: Dict, baseline: Dict, *, check_wall: bool) -> List[str]:
-    """Design-space explorer regressions (see :func:`compare_reports`)."""
-    regressions: List[str] = []
-    now = current.get("explore")
-    base = baseline.get("explore")
-    if now is None:
-        if base is not None:
-            regressions.append("accuracy: explore workload missing from current report")
-        return regressions
-    if now.get("backends_match") is False:
-        regressions.append(
-            "accuracy: explore workload table is not byte-identical across backends"
-        )
-    if (
-        base
-        and base.get("table_digest")
-        and now.get("table_digest") != base.get("table_digest")
-    ):
-        regressions.append(
-            "accuracy: explore workload ranked table changed against the baseline"
-        )
-    ratio = now.get("cost_ratio")
-    ceiling = now.get("max_cost_ratio") or (base or {}).get("max_cost_ratio") or 0.0
-    if check_wall and ratio is not None and ceiling and ratio > ceiling:
-        regressions.append(
-            f"performance: {now.get('grid_size', 0)}-configuration explore grid costs "
-            f"{ratio:.2f}x the {now.get('independent_analyses', 0)} independent analyses "
-            f"(ceiling {ceiling:.2f}x; grid {now.get('grid_seconds', 0):.2f}s, "
-            f"independent {now.get('independent_seconds', 0):.2f}s)"
-        )
     return regressions
 
 
@@ -1133,76 +1182,7 @@ def format_bench_summary(report: Dict, regressions: Optional[Sequence[str]] = No
         f"cardinality cache {totals.get('cache_hits', 0)}/{totals.get('cache_hits', 0) + totals.get('cache_misses', 0)} hits, "
         f"store {totals.get('store_hits', 0)} hits / {totals.get('store_misses', 0)} misses",
     ]
-    trace = report.get("trace")
-    if trace:
-        if trace.get("speedup") is not None:
-            lines.append(
-                f"trace workload: {trace.get('accesses', 0)} accesses, "
-                f"python {trace.get('python_seconds', 0.0):.3f}s, "
-                f"numpy {trace.get('numpy_seconds', 0.0):.4f}s "
-                f"({trace['speedup']:.1f}x speedup, floor {trace.get('min_speedup', 0):.0f}x)"
-            )
-        else:
-            lines.append(
-                f"trace workload: {trace.get('accesses', 0)} accesses, "
-                f"python {trace.get('python_seconds', 0.0):.3f}s (NumPy not installed; no speedup measured)"
-            )
-    curve = report.get("curve")
-    if curve:
-        ratio = curve.get("sweep_ratio")
-        ratio_text = f"{ratio:.2f}x" if ratio is not None else "n/a"
-        lines.append(
-            f"curve workload: {curve.get('points', 0)}-point sweep in "
-            f"{curve.get('sweep_seconds', 0.0):.2f}s vs single analysis "
-            f"{curve.get('single_seconds', 0.0):.2f}s ({ratio_text}, ceiling "
-            f"{curve.get('max_ratio', 0):.1f}x), counts "
-            f"{'match' if curve.get('counts_match') else 'DIFFER'}"
-        )
-    symbolic = report.get("symbolic")
-    if symbolic:
-        if symbolic.get("speedup") is not None:
-            lines.append(
-                f"symbolic workload: {symbolic.get('chamber_sets', 0)} chamber sets x "
-                f"{symbolic.get('points', 0)} capacities, "
-                f"python {symbolic.get('python_seconds', 0.0):.3f}s, "
-                f"numpy {symbolic.get('numpy_seconds', 0.0):.4f}s "
-                f"({symbolic['speedup']:.1f}x speedup, floor {symbolic.get('min_speedup', 0):.0f}x), "
-                f"totals {'match' if symbolic.get('results_match') else 'DIFFER'}"
-            )
-        else:
-            lines.append(
-                f"symbolic workload: {symbolic.get('chamber_sets', 0)} chamber sets x "
-                f"{symbolic.get('points', 0)} capacities, "
-                f"python {symbolic.get('python_seconds', 0.0):.3f}s "
-                f"(NumPy not installed; no speedup measured)"
-            )
-    serve = report.get("serve")
-    if serve:
-        p50 = serve.get("p50_seconds")
-        p95 = serve.get("p95_seconds")
-        latency = (
-            f"p50 {p50 * 1000:.1f}ms / p95 {p95 * 1000:.1f}ms"
-            if p50 is not None and p95 is not None
-            else "no latency samples"
-        )
-        lines.append(
-            f"serve workload: {serve.get('requests', 0)} requests over "
-            f"{serve.get('unique_specs', 0)} unique specs on {serve.get('workers', 0)} worker(s): "
-            f"{serve.get('engine_jobs', 0)} engine jobs, {serve.get('coalesced', 0)} coalesced, "
-            f"{serve.get('cached', 0)} store hits, {serve.get('errors', 0)} errors, {latency}"
-        )
-    explore = report.get("explore")
-    if explore:
-        ratio = explore.get("cost_ratio")
-        ratio_text = f"{ratio:.2f}x" if ratio is not None else "n/a"
-        tables = "identical" if explore.get("backends_match") else "DIFFER"
-        lines.append(
-            f"explore workload: {explore.get('grid_size', 0)}-config grid "
-            f"({explore.get('analyses', 0)} analyses) in {explore.get('grid_seconds', 0.0):.2f}s "
-            f"vs {explore.get('independent_analyses', 0)} independent analyses "
-            f"{explore.get('independent_seconds', 0.0):.2f}s ({ratio_text}, ceiling "
-            f"{explore.get('max_cost_ratio', 0):.2f}x), tables {tables}"
-        )
+    lines.extend(workload.summary(report[workload.name]) for workload in WORKLOADS if report.get(workload.name))
     if regressions is not None:
         if regressions:
             lines.append(f"{len(regressions)} regression(s) against baseline:")

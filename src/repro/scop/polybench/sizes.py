@@ -6,7 +6,7 @@ the problem-size scaling study (Figure 12).  A pure-Python trace simulator
 cannot enumerate the ~10^9 accesses of the original LARGE configuration, so
 the presets below are scaled down while preserving the ratios between the
 classes (roughly one order of magnitude more work per step), which keeps the
-shape of the scaling experiments intact (see DESIGN.md §4).
+shape of the scaling experiments intact.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Bench harness: suite runs, baseline comparison semantics, CLI exit codes."""
 
+import copy
 import json
+import math
 
 import pytest
 
@@ -15,6 +17,85 @@ TINY_SUITE = {
     "datasets": ["mini"],
     "levels": [(32 * 1024,)],
     "budget": 200,
+}
+
+
+#: A clean entry per optional workload; each test perturbs a copy.
+CLEAN_ENTRIES = {
+    "trace": {
+        "kernel": "bench-trace-gemm",
+        "accesses": 11368,
+        "misses": [100, 50],
+        "python_seconds": 0.5,
+        "numpy_available": True,
+        "numpy_seconds": 0.01,
+        "speedup": 50.0,
+        "results_match": True,
+        "min_speedup": 10.0,
+    },
+    "curve": {
+        "kernel": "bench-curve-matvec",
+        "accesses": 4096,
+        "points": 64,
+        "single_seconds": 0.9,
+        "sweep_seconds": 1.0,
+        "sweep_ratio": 1.1,
+        "counts_match": True,
+        "used_fallback": False,
+        "sweep_misses": [3000, 2000, 500, 0],
+        "max_ratio": 2.0,
+    },
+    "symbolic": {
+        "kernel": "bench-curve-matvec",
+        "chamber_sets": 47,
+        "points": 1024,
+        "python_seconds": 0.7,
+        "totals_sha256": "abc123",
+        "numpy_available": True,
+        "numpy_seconds": 0.02,
+        "speedup": 35.0,
+        "results_match": True,
+        "min_speedup": 3.0,
+    },
+    "serve": {
+        "kernels": ["gemm"],
+        "requests": 207,
+        "unique_specs": 7,
+        "dedup": 200,
+        "workers": 2,
+        "clients": 8,
+        "probe_ok": True,
+        "probe_coalesced": 2,
+        "shed_ok": True,
+        "errors": 0,
+        "engine_jobs": 7,
+        "coalesced": 25,
+        "cached": 175,
+        "payloads_identical": True,
+        "misses": {"gemm": [68, 68]},
+        "store_hits": 175,
+        "store_misses": 7,
+        "store_hit_rate": 0.96,
+        "wall_seconds": 14.0,
+        "p50_seconds": 0.008,
+        "p95_seconds": 5.0,
+    },
+    "explore": {
+        "kernel": "bench-curve-matvec",
+        "tiles": [1, 2, 4, 8],
+        "capacity_points": 16,
+        "grid_size": 64,
+        "pareto_size": 9,
+        "analyses": 4,
+        "independent_analyses": 64,
+        "grid_seconds": 1.0,
+        "independent_seconds": 15.0,
+        "cost_ratio": 1.0 / 15.0,
+        "max_cost_ratio": 0.25,
+        "table_digest": "abc123",
+        "backends_match": True,
+        "numpy_available": True,
+    },
 }
 
 
@@ -129,6 +210,14 @@ class TestCompareReports:
         (regression,) = compare_reports(current, self._report())
         assert "not in baseline" in regression and "fails" in regression
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -0.1])
+    def test_non_finite_or_negative_tolerance_is_rejected(self, tolerance):
+        # A NaN or infinite tolerance would pass a 100x rise in work units and
+        # wall time; a negative one would flag identical reports.
+        current = self._report(wall_seconds=1000.0, totals={"work_units": 100_000})
+        with pytest.raises(ValueError, match="tolerance"):
+            compare_reports(current, self._report(), tolerance=tolerance)
+
     def test_healthy_job_absent_from_baseline_is_not_regression(self):
         current = self._report()
         current["jobs"].append(
@@ -140,19 +229,7 @@ class TestCompareReports:
 
 class TestTraceWorkload:
     def _trace_entry(self, **overrides):
-        entry = {
-            "kernel": "bench-trace-gemm",
-            "accesses": 11368,
-            "misses": [100, 50],
-            "python_seconds": 0.5,
-            "numpy_available": True,
-            "numpy_seconds": 0.01,
-            "speedup": 50.0,
-            "results_match": True,
-            "min_speedup": 10.0,
-        }
-        entry.update(overrides)
-        return entry
+        return dict(copy.deepcopy(CLEAN_ENTRIES['trace']), **overrides)
 
     def _report(self, trace):
         return {
@@ -231,20 +308,7 @@ class TestTraceWorkload:
 
 class TestCurveWorkload:
     def _curve_entry(self, **overrides):
-        entry = {
-            "kernel": "bench-curve-matvec",
-            "accesses": 4096,
-            "points": 64,
-            "single_seconds": 0.9,
-            "sweep_seconds": 1.0,
-            "sweep_ratio": 1.1,
-            "counts_match": True,
-            "used_fallback": False,
-            "sweep_misses": [3000, 2000, 500, 0],
-            "max_ratio": 2.0,
-        }
-        entry.update(overrides)
-        return entry
+        return dict(copy.deepcopy(CLEAN_ENTRIES['curve']), **overrides)
 
     def _report(self, curve):
         return {
@@ -313,20 +377,7 @@ class TestCurveWorkload:
 
 class TestSymbolicWorkload:
     def _symbolic_entry(self, **overrides):
-        entry = {
-            "kernel": "bench-curve-matvec",
-            "chamber_sets": 47,
-            "points": 1024,
-            "python_seconds": 0.7,
-            "totals_sha256": "abc123",
-            "numpy_available": True,
-            "numpy_seconds": 0.02,
-            "speedup": 35.0,
-            "results_match": True,
-            "min_speedup": 3.0,
-        }
-        entry.update(overrides)
-        return entry
+        return dict(copy.deepcopy(CLEAN_ENTRIES['symbolic']), **overrides)
 
     def _report(self, symbolic):
         return {
@@ -407,31 +458,7 @@ class TestSymbolicWorkload:
 
 class TestServeWorkload:
     def _serve_entry(self, **overrides):
-        entry = {
-            "kernels": ["gemm"],
-            "requests": 207,
-            "unique_specs": 7,
-            "dedup": 200,
-            "workers": 2,
-            "clients": 8,
-            "probe_ok": True,
-            "probe_coalesced": 2,
-            "shed_ok": True,
-            "errors": 0,
-            "engine_jobs": 7,
-            "coalesced": 25,
-            "cached": 175,
-            "payloads_identical": True,
-            "misses": {"gemm": [68, 68]},
-            "store_hits": 175,
-            "store_misses": 7,
-            "store_hit_rate": 0.96,
-            "wall_seconds": 14.0,
-            "p50_seconds": 0.008,
-            "p95_seconds": 5.0,
-        }
-        entry.update(overrides)
-        return entry
+        return dict(copy.deepcopy(CLEAN_ENTRIES['serve']), **overrides)
 
     def _report(self, serve):
         return {
@@ -544,24 +571,7 @@ class TestServeWorkload:
 
 class TestExploreWorkload:
     def _explore_entry(self, **overrides):
-        entry = {
-            "kernel": "bench-curve-matvec",
-            "tiles": [1, 2, 4, 8],
-            "capacity_points": 16,
-            "grid_size": 64,
-            "pareto_size": 9,
-            "analyses": 4,
-            "independent_analyses": 64,
-            "grid_seconds": 1.0,
-            "independent_seconds": 15.0,
-            "cost_ratio": 1.0 / 15.0,
-            "max_cost_ratio": 0.25,
-            "table_digest": "abc123",
-            "backends_match": True,
-            "numpy_available": True,
-        }
-        entry.update(overrides)
-        return entry
+        return dict(copy.deepcopy(CLEAN_ENTRIES['explore']), **overrides)
 
     def _report(self, explore):
         return {
@@ -627,6 +637,85 @@ class TestExploreWorkload:
         assert explore["cost_ratio"] <= explore["max_cost_ratio"]
 
 
+
+#: One perturbation per gate of ``bench.WORKLOADS``, keyed
+#: ``workload:kind:field``: overrides for the current entry, overrides for the
+#: baseline entry, and a substring of the one regression that must follow.
+GATE_CASES = {
+    "trace:holds:results_match": ({"results_match": False, "numpy_misses": [101, 50]}, {}, "backends disagree"),
+    "trace:exact:misses": ({"misses": [101, 50]}, {}, "miss counts changed"),
+    "trace:floor:speedup": ({"speedup": 9.0}, {"speedup": 12.0}, "below the suite floor"),
+    "trace:collapse:speedup": ({"speedup": 11.0}, {"speedup": 60.0}, "collapsed"),
+    "curve:holds:counts_match": ({"counts_match": False}, {}, "disagree with the exact trace reference"),
+    "curve:exact:sweep_misses": ({"sweep_misses": [3000, 2001, 500, 0]}, {}, "sweep counts changed"),
+    "curve:holds:used_fallback": ({"used_fallback": True}, {}, "fell back"),
+    "curve:ceiling:sweep_ratio": ({"sweep_ratio": 2.5}, {}, "curve sweep costs"),
+    "symbolic:holds:results_match": ({"results_match": False}, {}, "evaluation backends disagree"),
+    "symbolic:exact:totals_sha256": ({"totals_sha256": "def456"}, {}, "per-capacity totals changed"),
+    "symbolic:floor:speedup": ({"speedup": 2.0}, {"speedup": 5.0}, "below the suite floor"),
+    "symbolic:collapse:speedup": ({"speedup": 5.0}, {"speedup": 40.0}, "collapsed"),
+    "serve:holds:errors": ({"errors": 3}, {}, "failed request"),
+    "serve:holds:probe_coalesced": ({"probe_coalesced": 0}, {}, "failed to coalesce"),
+    "serve:holds:shed_ok": ({"shed_ok": False}, {}, "not shed"),
+    "serve:holds:engine_jobs": ({"engine_jobs": 9}, {}, "engine jobs for"),
+    "serve:holds:dedup": ({"cached": 100}, {}, "dedup accounting"),
+    "serve:holds:cached": ({"cached": 0, "coalesced": 200}, {}, "store served no duplicate"),
+    "serve:holds:payloads_identical": ({"payloads_identical": False}, {}, "not byte-identical"),
+    "serve:exact:misses": ({"misses": {"gemm": [69, 68]}}, {}, "miss counts changed"),
+    "serve:collapse:p95_seconds": ({"p95_seconds": 25.0}, {}, "p95 request latency"),
+    "explore:holds:backends_match": ({"backends_match": False}, {}, "across backends"),
+    "explore:exact:table_digest": ({"table_digest": "def456"}, {}, "ranked table changed"),
+    "explore:ceiling:cost_ratio": ({"cost_ratio": 0.5}, {}, "explore grid costs"),
+}
+
+#: The wall-clock gates: the only ones ``check_wall=False`` turns off.
+WALL_GATES = {"curve:ceiling:sweep_ratio", "serve:collapse:p95_seconds", "explore:ceiling:cost_ratio"}
+
+#: ``workload:kind:field`` -> workload name, for every gate in the table.
+GATES = {f"{row.name}:{gate.kind}:{gate.field}": row.name for row in bench.WORKLOADS for gate in row.gates}
+
+
+class TestWorkloadGates:
+    def _report(self, name, entry):
+        return {
+            "suite": "tiny",
+            "wall_seconds": 1.0,
+            "calibration_seconds": 0.1,
+            "jobs": [],
+            "totals": {"work_units": 0},
+            name: entry,
+        }
+
+    def test_gate_ids_are_unique(self):
+        assert len(GATES) == sum(len(workload.gates) for workload in bench.WORKLOADS)
+
+    @pytest.mark.parametrize("gate_id", sorted(set(GATES) | set(GATE_CASES)))
+    def test_every_gate_fires_alone(self, gate_id):
+        assert gate_id in GATES, f"stale case {gate_id}: no such gate in bench.WORKLOADS"
+        assert gate_id in GATE_CASES, f"gate {gate_id} has no perturbation in GATE_CASES"
+        name = GATES[gate_id]
+        current_overrides, baseline_overrides, expected = GATE_CASES[gate_id]
+        baseline = self._report(name, dict(copy.deepcopy(CLEAN_ENTRIES[name]), **baseline_overrides))
+        assert compare_reports(baseline, baseline) == []
+        current = self._report(name, dict(copy.deepcopy(CLEAN_ENTRIES[name]), **current_overrides))
+        (regression,) = compare_reports(current, baseline)
+        assert expected in regression
+        assert regression.startswith(("accuracy:", "performance:"))
+        assert (compare_reports(current, baseline, check_wall=False) == []) == (gate_id in WALL_GATES)
+
+    @pytest.mark.parametrize("name", [workload.name for workload in bench.WORKLOADS])
+    def test_dropped_section_is_flagged_missing(self, name):
+        current = self._report(name, None)
+        current.pop(name)
+        baseline = self._report(name, copy.deepcopy(CLEAN_ENTRIES[name]))
+        assert compare_reports(current, baseline) == [f"accuracy: {name} workload missing from current report"]
+
+    @pytest.mark.parametrize("name", [workload.name for workload in bench.WORKLOADS])
+    def test_every_section_has_a_summary_line(self, name):
+        summary = bench.format_bench_summary(self._report(name, copy.deepcopy(CLEAN_ENTRIES[name])))
+        assert f"{name} workload:" in summary
+
+
 class TestBenchCli:
     def test_bench_writes_report(self, tmp_path, capsys):
         output = tmp_path / "BENCH_tiny.json"
@@ -662,6 +751,24 @@ class TestBenchCli:
                    "--baseline", str(tmp_path / "nope.json"), "--compare"])
         assert rc == 2
         assert "cannot load baseline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.1"])
+    def test_bench_rejects_non_finite_or_negative_tolerance(self, tmp_path, tolerance, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--suite", "tiny", "--output", str(tmp_path / "a.json"),
+                  "--compare", "--tolerance", tolerance])
+        assert excinfo.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
+
+    def test_bench_compare_and_update_baseline_are_exclusive(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--suite", "tiny", "--output", str(tmp_path / "a.json"),
+                  "--baseline", str(baseline), "--compare", "--update-baseline"])
+        assert excinfo.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not baseline.exists()
 
     def test_committed_smoke_baseline_is_well_formed(self):
         from pathlib import Path
