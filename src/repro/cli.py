@@ -23,9 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import tempfile
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import sweep as sweepmod
 from .sweep import DEFAULT_SWEEP_POINTS, Sweep, SweepError
@@ -67,10 +69,11 @@ from .simulator import (
     BackendUnavailableError,
     CacheLevelConfig,
     DineroSimulator,
+    resolve_backend,
     validate_backend_env,
 )
 
-__all__ = ["main"]
+__all__ = ["COMMANDS", "Command", "main"]
 
 #: Default deterministic symbolic work budget for CLI runs.  Heavy kernels
 #: trip it within seconds and degrade to the exact trace-based fallback
@@ -86,6 +89,11 @@ DEFAULT_L1_BYTES = 32 * 1024
 
 class _ArgsError(Exception):
     """Invalid flag combination; the message goes to stderr, exit code 2."""
+
+
+#: Everything a runner raises for bad user input.  :func:`main` prints the
+#: message (a parse error with its caret snippet) and exits 2.
+_USAGE_ERRORS = (_ArgsError, RegistryError, SessionConfigError, SweepError, KernelParseError)
 
 
 def _budget_value(args) -> Optional[int]:
@@ -106,6 +114,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0..65535, got {value}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not math.isfinite(value) or value < 0:
@@ -113,33 +128,213 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _parse_size(text: str) -> int:
-    """Parse a byte size like ``4096``, ``32K``, or ``1MiB``.
+# ----------------------------------------------------------------------
+# Argument groups and the subcommand table
+# ----------------------------------------------------------------------
+#: One ``add_argument`` call: ``(flags, keyword arguments)``.
+ArgSpec = Tuple[Tuple[str, ...], Dict[str, Any]]
 
-    Thin CLI adapter over :func:`repro.sweep.parse_size` — the single parser
-    shared with the API, the server, and the explorer — converting
-    :class:`~repro.sweep.SweepError` into the exit-code-2 path.
+
+def _arg(*flags: str, **kwargs: Any) -> ArgSpec:
+    return flags, kwargs
+
+
+class _OneOf(tuple):
+    """Argument specs that form one mutually exclusive group."""
+
+
+class _SuiteNames:
+    """``--suite`` choices, read when the command line is parsed: suites can
+    be registered after this module is imported."""
+
+    def __iter__(self):
+        return iter(suite_names())
+
+    def __contains__(self, name) -> bool:
+        return name in suite_names()
+
+
+_JOBS = _arg("--jobs", type=_positive_int, default=1, metavar="N", help="worker processes")
+
+#: Argument groups shared between subcommands, by the name a
+#: :class:`Command` row lists them under.
+ARG_GROUPS: Dict[str, Tuple[ArgSpec, ...]] = {
+    "kernel": (
+        _arg("kernel", help="kernel name (see `list`)"),
+        _arg("--dataset", default="mini", help="problem size class (default: mini)"),
+    ),
+    "machine": (
+        _arg(
+            "--machine",
+            metavar="NAME",
+            default=None,
+            help="named machine preset from the registry (see `kernels`); "
+            "mutually exclusive with the raw cache-geometry flags",
+        ),
+        _arg("--line-size", type=int, default=None, help=f"line size in bytes (default {DEFAULT_LINE_SIZE})"),
+        _arg("--l1", type=int, default=None, help=f"L1 size in bytes (default {DEFAULT_L1_BYTES})"),
+        _arg("--l2", type=int, default=None, help="L2 size in bytes (0 = disabled)"),
+        _arg("--l3", type=int, default=None, help="L3 size in bytes (0 = disabled)"),
+    ),
+    "budget": (
+        _arg(
+            "--budget",
+            type=_nonnegative_int,
+            default=DEFAULT_WORK_BUDGET,
+            metavar="UNITS",
+            help="deterministic symbolic work budget; exceeding it falls back to the "
+            f"exact trace computation (default {DEFAULT_WORK_BUDGET}, 0 = unlimited)",
+        ),
+    ),
+    "store": (
+        _arg(
+            "--store-path",
+            metavar="DIR",
+            default=None,
+            help="persistent analysis store root (default: $REPRO_STORE_PATH or "
+            "~/.cache/repro-haystack/store)",
+        ),
+        _arg("--no-store", action="store_true", help="disable the persistent analysis store for this run"),
+        _arg(
+            "--store-backend",
+            choices=BACKEND_NAMES,
+            default=None,
+            help="store backend: 'dir' (one file per entry, the default) or "
+            "'sqlite' (one WAL-mode database; safe for many server workers); "
+            "default: $REPRO_STORE_BACKEND or dir",
+        ),
+    ),
+    "backend": (
+        _arg(
+            "--backend",
+            choices=list(BACKENDS),
+            default="auto",
+            help="concrete-pipeline implementation: 'numpy' (vectorized), 'python' "
+            "(reference), 'auto' = NumPy when installed (default; both backends "
+            "produce identical results)",
+        ),
+    ),
+    "no-fallback": (
+        _arg(
+            "--no-fallback",
+            action="store_true",
+            help="fail (batch: record an error) instead of falling back to the trace",
+        ),
+    ),
+    "json": (
+        _arg("--json", action="store_true", help="machine-readable JSON output instead of tables"),
+    ),
+    "sweep": (
+        _arg(
+            "--sweep",
+            metavar="MIN:MAX[:POINTS]",
+            default=None,
+            help="log-spaced capacity sweep in bytes (sizes accept K/M/G suffixes; "
+            f"default {DEFAULT_SWEEP_POINTS} points); combines with --capacities",
+        ),
+        _arg(
+            "--capacities",
+            metavar="LIST",
+            default=None,
+            help="cache sizes in bytes: comma-separated sizes and MIN:MAX[:POINTS] "
+            "ranges, K/M/G suffixes ok; combines with --sweep",
+        ),
+    ),
+    "associativity": (
+        _arg(
+            "--associativity",
+            type=_positive_int,
+            default=None,
+            help="simulator ways (default: fully associative)",
+        ),
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One ``repro-haystack`` subcommand.
+
+    ``args`` lists the command's arguments in ``--help`` order: a string
+    names a shared group of :data:`ARG_GROUPS`, an :func:`_arg` spec is the
+    command's own argument, and a :class:`_OneOf` holds specs that are
+    mutually exclusive.  ``run`` gets the parsed arguments and returns the
+    exit status; it raises one of :data:`_USAGE_ERRORS` on bad input.
+    """
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    args: Tuple[Any, ...] = ()
+
+
+def _add_arguments(parser, specs) -> None:
+    for spec in specs:
+        if isinstance(spec, str):
+            _add_arguments(parser, ARG_GROUPS[spec])
+        elif isinstance(spec, _OneOf):
+            _add_arguments(parser.add_mutually_exclusive_group(), spec)
+        else:
+            flags, kwargs = spec
+            parser.add_argument(*flags, **kwargs)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-haystack",
+        description=__doc__,
+        epilog="Environment variables (REPRO_BACKEND, REPRO_STORE_PATH, "
+        "REPRO_STORE_BACKEND, REPRO_STORE_MAX_BYTES, REPRO_BENCH_JOBS, "
+        "REPRO_EXAMPLE_FAST) are documented in the README's 'Environment "
+        "variables' table; see also docs/ARCHITECTURE.md and docs/PERFORMANCE.md.",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS:
+        sub = subparsers.add_parser(command.name, help=command.help, description=command.help)
+        _add_arguments(sub, command.args)
+        sub.set_defaults(run=command.run)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        _check_environment(args)
+        return args.run(args)
+    except KernelParseError as exc:
+        print(exc.render(), file=sys.stderr)
+    except _USAGE_ERRORS as exc:
+        print(str(exc), file=sys.stderr)
+    return 2
+
+
+def _check_environment(args) -> None:
+    """Reject a bad ``$REPRO_BACKEND``, ``$REPRO_STORE_*`` or ``--store-path``.
+
+    Otherwise a bad backend would ride through ``backend="auto"`` into a deep
+    ``ValueError`` mid-run, and a bad store location into a failure (or a
+    silently disabled store) mid-analysis.
     """
     try:
-        return sweepmod.parse_size(text)
-    except SweepError as exc:
+        validate_backend_env()
+        validate_store_env()
+        if getattr(args, "store_path", None) and not args.no_store:
+            validate_store_path(args.store_path, args.store_backend)
+    except ValueError as exc:
         raise _ArgsError(str(exc)) from None
 
 
-def _sweep_sizes(spec: str, *, label: str = "--sweep") -> List[int]:
-    """Expand ``MIN:MAX[:POINTS]`` via the shared :mod:`repro.sweep` parser."""
-    try:
-        return sweepmod.expand_range(spec, label=label)
-    except SweepError as exc:
-        raise _ArgsError(str(exc)) from None
-
-
-def _axis_values(spec: str, *, label: str) -> List[int]:
-    """Parse a CSV-of-sizes-and-ranges axis spec (``explore`` flags)."""
-    try:
-        return list(Sweep.parse(spec, label=label).values)
-    except SweepError as exc:
-        raise _ArgsError(str(exc)) from None
+# ----------------------------------------------------------------------
+# Shared helpers
+# ----------------------------------------------------------------------
+def _capacities(args) -> List[int]:
+    """Sorted byte sizes named by ``--capacities`` and the ``--sweep`` range."""
+    sizes = set()
+    if args.capacities:
+        sizes.update(Sweep.parse(args.capacities, label="--capacities").values)
+    if args.sweep:
+        sizes.update(sweepmod.expand_range(args.sweep, label="--sweep"))
+    return sorted(sizes)
 
 
 def _curve_capacities(args, machine: MachineModel) -> List[int]:
@@ -149,16 +344,14 @@ def _curve_capacities(args, machine: MachineModel) -> List[int]:
     neither given, the default sweep runs log-spaced from one cache line to
     twice the largest hierarchy level.
     """
-    sizes = set()
-    if args.capacities:
-        sizes.update(_axis_values(args.capacities, label="--capacities"))
-    if args.sweep:
-        sizes.update(_sweep_sizes(args.sweep))
-    if not sizes:
-        largest = max(level.size for level in machine.levels)
-        sizes.update(_sweep_sizes(f"{machine.line_size}:{2 * largest}:{DEFAULT_SWEEP_POINTS}"))
-        sizes.update(level.size for level in machine.levels)
-    return sorted(sizes)
+    sizes = _capacities(args)
+    if sizes:
+        return sizes
+    largest = max(level.size for level in machine.levels)
+    default = sweepmod.expand_range(
+        f"{machine.line_size}:{2 * largest}:{DEFAULT_SWEEP_POINTS}", label="--sweep"
+    )
+    return sorted(set(default).union(level.size for level in machine.levels))
 
 
 def _warn_fallback(args, exc: Exception) -> None:
@@ -184,32 +377,56 @@ def _machine_from_args(args) -> MachineModel:
     explicit = [
         flag
         for flag, attr in (("--line-size", "line_size"), ("--l1", "l1"), ("--l2", "l2"), ("--l3", "l3"))
-        if getattr(args, attr, None) is not None
+        if getattr(args, attr) is not None
     ]
-    if getattr(args, "machine", None):
+    if args.machine:
         if explicit:
             raise _ArgsError(
                 f"--machine {args.machine} cannot be combined with {', '.join(explicit)}; "
                 "name a preset or shape the hierarchy by hand, not both"
             )
+        entry = registry.get_machine(args.machine)
         try:
-            return registry.get_machine(args.machine).build()
-        except RegistryError as exc:
-            raise _ArgsError(str(exc)) from None
+            return entry.build()
         except Exception as exc:  # noqa: BLE001 - a broken factory is a user-facing error
             raise _ArgsError(f"machine {args.machine!r} failed to build: {exc}") from None
     line_size = args.line_size if args.line_size is not None else DEFAULT_LINE_SIZE
     l1 = args.l1 if args.l1 is not None else DEFAULT_L1_BYTES
     levels = [CacheLevelSpec(l1, "L1")]
-    if getattr(args, "l2", None):
+    if args.l2:
         levels.append(CacheLevelSpec(args.l2, "L2"))
-    if getattr(args, "l3", None):
+    if args.l3:
         levels.append(CacheLevelSpec(args.l3, "L3"))
-    return MachineModel(line_size=line_size, levels=tuple(levels))
+    try:
+        return MachineModel(line_size=line_size, levels=tuple(levels))
+    except ValueError as exc:
+        raise _ArgsError(str(exc)) from None
 
 
-def _store_path(args) -> Optional[str]:
-    """Resolved store spec: ``--no-store`` disables, ``--store-path`` overrides.
+def _load_scop(args):
+    """The scop a command runs on: the ``.knl`` file ``args.file`` if given,
+    else the registered kernel ``args.kernel``.
+
+    Fills in ``args.kernel`` and ``args.dataset`` (a file's name and first
+    dataset block, or ``mini``): output labels and store digests key off them.
+    """
+    path = getattr(args, "file", None)
+    if path is None:
+        if args.dataset is None:
+            args.dataset = "mini"
+        return registry.get_kernel(args.kernel).build(args.dataset)
+    try:
+        program = parse_kernel_path(path)
+    except OSError as exc:
+        raise _ArgsError(f"cannot read {path}: {exc}") from None
+    args.kernel = program.name
+    args.dataset = args.dataset or next(iter(program.datasets))
+    return program.instantiate(program.dataset_sizes(args.dataset))
+
+
+def _store_path(args, root: Optional[str] = None) -> Optional[str]:
+    """Resolved store spec: ``--no-store`` disables, ``--store-path`` overrides
+    ``root`` (default: ``$REPRO_STORE_PATH`` or the per-user cache).
 
     The returned string carries the backend choice (``--store-backend`` /
     ``$REPRO_STORE_BACKEND``) as a ``backend:path`` spec, so it flows through
@@ -217,17 +434,15 @@ def _store_path(args) -> Optional[str]:
     """
     if args.no_store:
         return None
-    path = args.store_path or default_store_path()
-    return make_store_spec(path, getattr(args, "store_backend", None))
+    return make_store_spec(args.store_path or root or default_store_path(), args.store_backend)
 
 
 def _session_from_args(args, machine: MachineModel) -> Session:
     """The configured façade every analysis command runs through."""
     session = Session().machine(machine).budget(_budget_value(args))
-    if getattr(args, "no_fallback", False):
+    if args.no_fallback:
         session.options(fallback=False)
-    if getattr(args, "backend", None):
-        session.backend(args.backend)
+    session.backend(args.backend)
     path = _store_path(args)
     if path:
         session.store(path)
@@ -255,24 +470,20 @@ def _analyze_for_cli(args, session: Session, scop):
         return result, 0
 
 
-def _model_result_with_store(
-    args, session: Session, scop, *, structural: bool = False
-) -> Tuple[Optional[ModelResult], bool, int]:
+def _model_result_with_store(args, session: Session, scop) -> Tuple[Optional[ModelResult], bool, int]:
     """Analytical result via the persistent store: ``(result, cached, exit_code)``.
 
-    With ``structural=True`` the store digest fingerprints the scop's full
-    structure instead of the (kernel, dataset) name pair — used by ``analyze``,
-    where the same kernel name may mean different file contents over time.
+    For a ``.knl`` file the store digest fingerprints the scop's full
+    structure instead of the (kernel, dataset) name pair, because the same
+    kernel name may mean different file contents over time.
     """
     store = session.open_store()
     digest = None
     if store is not None:
         # The spec mirrors the session machine exactly (L1 always present,
         # L2/L3 optional), so distinct hierarchies never alias one digest.
-        kernel_name = getattr(args, "kernel", None) or scop.name
-        spec = session.job_spec(
-            kernel_name, args.dataset, scop=scop if structural else None
-        )
+        structural = getattr(args, "file", None) is not None
+        spec = session.job_spec(args.kernel, args.dataset, scop=scop if structural else None)
         digest = job_digest(spec)
         payload = store.get_result(digest)
         if payload is not None:
@@ -310,550 +521,108 @@ def _model_stats_line(result: ModelResult, cached: bool, store_enabled: bool) ->
     return ", ".join(parts)
 
 
-def _simulator(
-    machine: MachineModel,
-    associativity: Optional[int],
-    backend: str = "auto",
-    *,
-    policy: str = "lru",
-    prefetch_degree: int = 0,
-) -> DineroSimulator:
+def _simulator(args, machine: MachineModel) -> DineroSimulator:
+    """The trace simulator for ``machine`` and ``--associativity``.
+
+    The geometry and backend are checked here, before any analysis or trace
+    runs; the caches repeat the geometry checks as a safety net.
+    """
+    ways = args.associativity
+    for index, level in enumerate(machine.levels):
+        if level.size <= 0:
+            problem = "cache and line size must be positive"
+        elif level.size % (machine.line_size * (ways or 1)):
+            problem = (
+                "cache size must be a multiple of the line size"
+                if ways is None
+                else "cache size must be a multiple of line size * associativity"
+            )
+        else:
+            continue
+        raise _ArgsError(
+            f"{problem} ({level.label(index)}: {level.size} B, line size "
+            f"{machine.line_size} B, associativity {ways or 'full'})"
+        )
+    try:
+        resolve_backend(args.backend)
+    except BackendUnavailableError as exc:
+        raise _ArgsError(str(exc)) from None
     return DineroSimulator(
         [
             CacheLevelConfig(
                 cache_size=level.size,
                 line_size=machine.line_size,
-                associativity=associativity,
-                policy=policy,
-                prefetch_degree=prefetch_degree,
+                associativity=ways,
+                policy=getattr(args, "policy", "lru"),
+                prefetch_degree=getattr(args, "prefetch_degree", 0),
             )
             for level in machine.levels
         ],
-        backend=backend,
+        backend=args.backend,
     )
 
 
-def _add_budget_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--budget",
-        type=_nonnegative_int,
-        default=DEFAULT_WORK_BUDGET,
-        metavar="UNITS",
-        help="deterministic symbolic work budget; exceeding it falls back to the "
-        f"exact trace computation (default {DEFAULT_WORK_BUDGET}, 0 = unlimited)",
-    )
+# ----------------------------------------------------------------------
+# Runners: one per subcommand
+# ----------------------------------------------------------------------
+def _run_list(args) -> int:
+    for name in registry.kernel_names():
+        print(name)
+    return 0
 
 
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default="auto",
-        help="concrete-pipeline implementation: 'numpy' (vectorized), 'python' "
-        "(reference), 'auto' = NumPy when installed (default; both backends "
-        "produce identical results)",
-    )
-
-
-def _add_machine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--machine",
-        metavar="NAME",
-        default=None,
-        help="named machine preset from the registry (see `kernels`); "
-        "mutually exclusive with the raw cache-geometry flags",
-    )
-    parser.add_argument("--line-size", type=int, default=None, help=f"line size in bytes (default {DEFAULT_LINE_SIZE})")
-    parser.add_argument("--l1", type=int, default=None, help=f"L1 size in bytes (default {DEFAULT_L1_BYTES})")
-    parser.add_argument("--l2", type=int, default=None, help="L2 size in bytes (0 = disabled)")
-    parser.add_argument("--l3", type=int, default=None, help="L3 size in bytes (0 = disabled)")
-
-
-def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("kernel", help="kernel name (see `list`)")
-    parser.add_argument(
-        "--dataset", default="mini", help="problem size class (default: mini)"
-    )
-    _add_machine_arguments(parser)
-
-
-def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store-path",
-        metavar="DIR",
-        default=None,
-        help="persistent analysis store root (default: $REPRO_STORE_PATH or "
-        "~/.cache/repro-haystack/store)",
-    )
-    parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help="disable the persistent analysis store for this run",
-    )
-    parser.add_argument(
-        "--store-backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="store backend: 'dir' (one file per entry, the default) or "
-        "'sqlite' (one WAL-mode database; safe for many server workers); "
-        "default: $REPRO_STORE_BACKEND or dir",
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-haystack",
-        description=__doc__,
-        epilog="Environment variables (REPRO_BACKEND, REPRO_STORE_PATH, "
-        "REPRO_STORE_MAX_BYTES, REPRO_BENCH_JOBS, REPRO_EXAMPLE_FAST) are "
-        "documented in the README's 'Environment variables' table; see also "
-        "docs/ARCHITECTURE.md and docs/PERFORMANCE.md.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    subparsers.add_parser("list", help="list the available kernel names")
-
-    kernels_parser = subparsers.add_parser(
-        "kernels", help="list registered kernels, datasets and machine presets"
-    )
-    kernels_parser.add_argument(
-        "--json", action="store_true", help="machine-readable output instead of tables"
-    )
-
-    model_parser = subparsers.add_parser("model", help="run the analytical cache model")
-    _add_cache_arguments(model_parser)
-    model_parser.add_argument("--no-fallback", action="store_true", help="fail instead of falling back to the trace")
-    _add_budget_argument(model_parser)
-    _add_store_arguments(model_parser)
-    _add_backend_argument(model_parser)
-
-    analyze_parser = subparsers.add_parser(
-        "analyze",
-        help="parse a kernel DSL (.knl) file and run the analytical model on it",
-    )
-    analyze_parser.add_argument(
-        "file", help="kernel DSL file (language reference: docs/KERNEL_DSL.md)"
-    )
-    analyze_parser.add_argument(
-        "--dataset",
-        default=None,
-        help="dataset block of the file to instantiate (default: its first block)",
-    )
-    _add_machine_arguments(analyze_parser)
-    analyze_parser.add_argument(
-        "--no-fallback", action="store_true", help="fail instead of falling back to the trace"
-    )
-    analyze_parser.add_argument(
-        "--curve",
-        action="store_true",
-        help="report a miss curve over a capacity sweep instead of the level table",
-    )
-    analyze_parser.add_argument(
-        "--sweep",
-        metavar="MIN:MAX[:POINTS]",
-        default=None,
-        help="capacity sweep for --curve (same syntax as the curve command)",
-    )
-    analyze_parser.add_argument(
-        "--capacities",
-        metavar="LIST",
-        default=None,
-        help="explicit cache sizes for --curve (comma-separated, K/M/G suffixes ok)",
-    )
-    analyze_parser.add_argument(
-        "--json", action="store_true", help="machine-readable --curve output"
-    )
-    analyze_parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="also run the trace simulator and compare the miss counts",
-    )
-    analyze_parser.add_argument(
-        "--associativity",
-        type=int,
-        default=None,
-        help="simulator ways for --compare (default: fully associative)",
-    )
-    _add_budget_argument(analyze_parser)
-    _add_store_arguments(analyze_parser)
-    _add_backend_argument(analyze_parser)
-
-    lint_parser = subparsers.add_parser(
-        "lint",
-        help="statically verify a kernel and predict its symbolic cost "
-        "without running the model (diagnostic codes: docs/LINT.md)",
-    )
-    lint_parser.add_argument(
-        "file",
-        nargs="?",
-        default=None,
-        help="kernel DSL (.knl) file to lint; alternatively use --kernel",
-    )
-    lint_parser.add_argument(
-        "--kernel",
-        default=None,
-        metavar="NAME",
-        help="registered kernel to lint instead of a file (see `list`)",
-    )
-    lint_parser.add_argument(
-        "--dataset",
-        default=None,
-        help="dataset to instantiate (default: the file's first block, or "
-        "'mini' for registered kernels)",
-    )
-    lint_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="schema-versioned machine-readable findings instead of the table",
-    )
-    lint_parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="warnings also fail the lint (exit 3), not just errors",
-    )
-    lint_parser.add_argument(
-        "--no-cost",
-        action="store_true",
-        help="skip the symbolic-cost probe (COST findings); static checks only",
-    )
-    _add_machine_arguments(lint_parser)
-    _add_budget_argument(lint_parser)
-
-    sim_parser = subparsers.add_parser("simulate", help="run the trace-driven simulator")
-    _add_cache_arguments(sim_parser)
-    sim_parser.add_argument("--associativity", type=int, default=None, help="ways (default: fully associative)")
-    sim_parser.add_argument(
-        "--policy",
-        choices=["lru", "fifo", "tree-plru"],
-        default="lru",
-        help="replacement policy for set-associative levels (default lru)",
-    )
-    sim_parser.add_argument(
-        "--prefetch-degree",
-        type=_nonnegative_int,
-        default=0,
-        metavar="N",
-        help="next-line prefetcher: install N sequential lines on every miss "
-        "(default 0 = disabled; forces the reference simulator)",
-    )
-    _add_backend_argument(sim_parser)
-
-    curve_parser = subparsers.add_parser(
-        "curve", help="miss curve: sweep many cache sizes from one analysis"
-    )
-    _add_cache_arguments(curve_parser)
-    curve_parser.add_argument(
-        "--sweep",
-        metavar="MIN:MAX[:POINTS]",
-        default=None,
-        help="log-spaced capacity sweep in bytes (sizes accept K/M/G suffixes; "
-        f"default {DEFAULT_SWEEP_POINTS} points); combines with --capacities",
-    )
-    curve_parser.add_argument(
-        "--capacities",
-        metavar="LIST",
-        default=None,
-        help="comma-separated explicit cache sizes in bytes (K/M/G suffixes ok)",
-    )
-    curve_parser.add_argument(
-        "--json", action="store_true", help="machine-readable output instead of a table"
-    )
-    curve_parser.add_argument(
-        "--no-fallback", action="store_true", help="fail instead of falling back to the trace"
-    )
-    _add_budget_argument(curve_parser)
-    _add_store_arguments(curve_parser)
-    _add_backend_argument(curve_parser)
-
-    explore_parser = subparsers.add_parser(
-        "explore",
-        help="design-space explorer: rank a tile x capacity x line-size x "
-        "associativity grid and report its Pareto front (docs/EXPLORE.md)",
-    )
-    _add_cache_arguments(explore_parser)
-    explore_parser.add_argument(
-        "--tiles",
-        metavar="LIST",
-        default=None,
-        help="tile sizes to explore (comma-separated values and MIN:MAX[:POINTS] "
-        "ranges; 1 = untiled; default: 1 only)",
-    )
-    explore_parser.add_argument(
-        "--capacities",
-        metavar="LIST",
-        default=None,
-        help="cache capacities to explore (comma-separated sizes and "
-        "MIN:MAX[:POINTS] ranges, K/M/G suffixes ok; combines with --sweep; "
-        "default: the machine's hierarchy levels)",
-    )
-    explore_parser.add_argument(
-        "--sweep",
-        metavar="MIN:MAX[:POINTS]",
-        default=None,
-        help="log-spaced capacity sweep (same syntax as the curve command); "
-        "combines with --capacities",
-    )
-    explore_parser.add_argument(
-        "--line-sizes",
-        metavar="LIST",
-        default=None,
-        help="cache line sizes to explore (default: the machine's line size)",
-    )
-    explore_parser.add_argument(
-        "--associativities",
-        metavar="LIST",
-        default=None,
-        help="way counts for the hardware-cost axis (the miss prediction is "
-        "associativity-blind; default: fully associative)",
-    )
-    explore_parser.add_argument(
-        "--pareto", action="store_true", help="print only the Pareto-optimal rows"
-    )
-    explore_parser.add_argument(
-        "--limit",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="print at most N ranked rows (default: all)",
-    )
-    explore_parser.add_argument(
-        "--json", action="store_true", help="machine-readable output instead of a table"
-    )
-    explore_parser.add_argument(
-        "--no-fallback", action="store_true", help="fail instead of falling back to the trace"
-    )
-    _add_budget_argument(explore_parser)
-    _add_store_arguments(explore_parser)
-    _add_backend_argument(explore_parser)
-
-    cmp_parser = subparsers.add_parser("compare", help="run both and compare the miss counts")
-    _add_cache_arguments(cmp_parser)
-    cmp_parser.add_argument("--associativity", type=int, default=None)
-    cmp_parser.add_argument("--no-fallback", action="store_true", help="fail instead of falling back to the trace")
-    _add_budget_argument(cmp_parser)
-    _add_store_arguments(cmp_parser)
-    _add_backend_argument(cmp_parser)
-
-    batch_parser = subparsers.add_parser(
-        "batch", help="analyse a kernel x dataset matrix across a worker pool"
-    )
-    batch_parser.add_argument(
-        "--kernels",
-        required=True,
-        help="comma-separated kernel names, or 'all' for every registered kernel",
-    )
-    batch_parser.add_argument(
-        "--datasets", default="mini", help="comma-separated dataset classes (default: mini)"
-    )
-    batch_parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N", help="worker processes")
-    batch_parser.add_argument("--output", metavar="FILE", help="write the batch results as JSON")
-    _add_machine_arguments(batch_parser)
-    batch_parser.add_argument("--no-fallback", action="store_true", help="record an error instead of falling back")
-    batch_parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="stream one line per job to stderr as the pool completes them",
-    )
-    _add_budget_argument(batch_parser)
-    _add_store_arguments(batch_parser)
-    _add_backend_argument(batch_parser)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="run a named benchmark suite and compare against a baseline"
-    )
-    bench_parser.add_argument(
-        "--suite", default="smoke", choices=suite_names(), help="workload suite (default: smoke)"
-    )
-    bench_parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="report path (default: BENCH_<suite>.json in the current directory)",
-    )
-    bench_mode = bench_parser.add_mutually_exclusive_group()
-    bench_mode.add_argument(
-        "--compare",
-        action="store_true",
-        help="compare the report against the baseline and exit 4 on regression",
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="baseline report (default: benchmarks/baselines/BENCH_<suite>.json)",
-    )
-    bench_parser.add_argument(
-        "--tolerance",
-        type=_tolerance,
-        default=0.2,
-        metavar="FRAC",
-        help="allowed relative rise of wall time and work units (default: 0.2)",
-    )
-    bench_parser.add_argument(
-        "--no-wall",
-        action="store_true",
-        help="skip the wall-clock comparison (deterministic metrics only)",
-    )
-    bench_mode.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the report to the baseline path instead of comparing",
-    )
-    bench_parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N", help="worker processes")
-    _add_store_arguments(bench_parser)
-    _add_backend_argument(bench_parser)
-
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="run the analysis HTTP service (endpoints: /healthz, /stats, "
-        "/v1/analyze, /v1/batch; see docs/SERVER.md)",
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
-    serve_parser.add_argument(
-        "--port",
-        type=_nonnegative_int,
-        default=8157,
-        help="TCP port; 0 picks an ephemeral port (default: 8157)",
-    )
-    serve_parser.add_argument(
-        "--port-file",
-        metavar="FILE",
-        default=None,
-        help="write the bound port to FILE once listening (ephemeral-port discovery)",
-    )
-    serve_parser.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        default=2,
-        metavar="N",
-        help="engine worker processes (0 = run jobs on server threads; default: 2)",
-    )
-    serve_parser.add_argument(
-        "--max-inflight",
-        type=_positive_int,
-        default=8,
-        metavar="N",
-        help="admission cap on concurrently executing jobs; beyond it requests "
-        "are shed with 429 (default: 8)",
-    )
-    serve_parser.add_argument(
-        "--max-budget",
-        type=_positive_int,
-        default=None,
-        metavar="UNITS",
-        help="admission ceiling on per-request symbolic work budgets; requests "
-        "above it (or asking for unlimited) are shed with 429 (default: no ceiling)",
-    )
-    _add_budget_argument(serve_parser)
-    _add_store_arguments(serve_parser)
-
-    args = parser.parse_args(argv)
-
-    # A bad $REPRO_BACKEND would otherwise ride through backend="auto" into a
-    # deep ValueError mid-run, and a bad $REPRO_STORE_PATH/--store-path into
-    # a failure (or a silently disabled store) mid-analysis; reject both
-    # before doing anything.
-    try:
-        validate_backend_env()
-        validate_store_env()
-        if getattr(args, "store_path", None) and not getattr(args, "no_store", False):
-            validate_store_path(args.store_path, getattr(args, "store_backend", None))
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    if args.command == "serve":
-        return _run_serve(args)
-
-    if args.command == "list":
-        for name in registry.kernel_names():
-            print(name)
-        return 0
-
-    if args.command == "kernels":
-        return _run_kernels(args)
-
-    if args.command == "batch":
-        return _run_batch(args)
-
-    if args.command == "analyze":
-        return _run_analyze(args)
-
-    if args.command == "lint":
-        return _run_lint(args)
-
-    if args.command == "bench":
-        return _run_bench(args)
-
-    try:
-        machine = _machine_from_args(args)
-    except (_ArgsError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        entry = registry.get_kernel(args.kernel)
-    except RegistryError as exc:
-        # The registry message is a one-liner with a did-you-mean hint and
-        # the full kernel listing.
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        scop = entry.build(args.dataset)
-    except RegistryError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    if args.command == "model":
-        return _run_model(args, machine, scop)
-
-    if args.command == "curve":
-        return _run_curve(args, machine, scop)
-
-    if args.command == "explore":
-        return _run_explore(args, machine)
-
-    if args.command == "simulate":
-        if args.associativity is None and args.policy != "lru":
-            print("--policy requires --associativity (fully associative caches are LRU)", file=sys.stderr)
-            return 2
+def _run_kernels(args) -> int:
+    """``kernels`` subcommand: everything the registries know about."""
+    kernels = [
+        {"name": entry.name, "datasets": list(entry.datasets), "source": entry.source}
+        for entry in registry.kernel_entries()
+    ]
+    machines = []
+    for entry in registry.machine_entries():
+        # A broken factory (e.g. a buggy plugin) must not take down the one
+        # command users run to see what registered; warn and keep listing.
         try:
-            result = _simulator(
-                machine,
-                args.associativity,
-                args.backend,
-                policy=args.policy,
-                prefetch_degree=args.prefetch_degree,
-            ).run(scop)
-        except BackendUnavailableError as exc:
-            # $REPRO_BACKEND itself was validated at entry; this is the
-            # explicit-numpy-without-NumPy case.
-            print(str(exc), file=sys.stderr)
-            return 2
-        rows = [
-            (f"L{i+1}", stats.accesses, stats.compulsory_misses, stats.capacity_misses + stats.conflict_misses, stats.misses, stats.hits, stats.writebacks)
-            for i, stats in enumerate(result.levels)
-        ]
-        print(format_table(["level", "accesses", "compulsory", "other misses", "misses", "hits", "writebacks"], rows,
-                           title=f"{scop.name} ({args.dataset}) — trace simulation"))
-        print(f"simulation time: {result.elapsed_seconds:.3f}s for {result.accesses} accesses")
+            model = entry.build()
+        except Exception as exc:  # noqa: BLE001 - plugin isolation
+            print(f"warning: machine {entry.name!r} failed to build: {exc}", file=sys.stderr)
+            continue
+        machines.append(
+            {
+                "name": entry.name,
+                "levels": [level.size for level in model.levels],
+                "line_size": model.line_size,
+                "description": entry.description,
+                "source": entry.source,
+            }
+        )
+    if args.json:
+        print(json.dumps({"kernels": kernels, "machines": machines}, indent=2, sort_keys=True))
         return 0
+    kernel_rows = [(k["name"], ", ".join(k["datasets"]), k["source"]) for k in kernels]
+    machine_rows = [
+        (
+            m["name"],
+            "+".join(str(size) for size in m["levels"]),
+            m["line_size"],
+            m["description"] or "-",
+            m["source"],
+        )
+        for m in machines
+    ]
+    print(format_table(["kernel", "datasets", "source"], kernel_rows,
+                       title=f"{len(kernel_rows)} registered kernels"))
+    print()
+    print(format_table(["machine", "levels [B]", "line [B]", "description", "source"], machine_rows,
+                       title=f"{len(machine_rows)} registered machine presets"))
+    return 0
 
-    if args.command == "compare":
-        return _run_compare(args, machine, scop)
 
-    return 1
-
-
-def _run_model(args, machine: MachineModel, scop, *, structural: bool = False) -> int:
+def _run_model(args) -> int:
     """``model`` subcommand body (also the default mode of ``analyze``)."""
-    try:
-        session = _session_from_args(args, machine)
-    except SessionConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    result, cached, exit_code = _model_result_with_store(
-        args, session, scop, structural=structural
-    )
+    machine = _machine_from_args(args)
+    scop = _load_scop(args)
+    session = _session_from_args(args, machine)
+    result, cached, exit_code = _model_result_with_store(args, session, scop)
     if result is None:
         return exit_code
     rows = [
@@ -866,19 +635,33 @@ def _run_model(args, machine: MachineModel, scop, *, structural: bool = False) -
     return 0
 
 
-def _run_compare(args, machine: MachineModel, scop, *, structural: bool = False) -> int:
+def _run_simulate(args) -> int:
+    """``simulate`` subcommand: the trace-driven simulator alone."""
+    machine = _machine_from_args(args)
+    scop = _load_scop(args)
+    if args.associativity is None and args.policy != "lru":
+        raise _ArgsError("--policy requires --associativity (fully associative caches are LRU)")
+    result = _simulator(args, machine).run(scop)
+    rows = [
+        (f"L{i+1}", stats.accesses, stats.compulsory_misses, stats.capacity_misses + stats.conflict_misses, stats.misses, stats.hits, stats.writebacks)
+        for i, stats in enumerate(result.levels)
+    ]
+    print(format_table(["level", "accesses", "compulsory", "other misses", "misses", "hits", "writebacks"], rows,
+                       title=f"{scop.name} ({args.dataset}) — trace simulation"))
+    print(f"simulation time: {result.elapsed_seconds:.3f}s for {result.accesses} accesses")
+    return 0
+
+
+def _run_compare(args) -> int:
     """``compare`` subcommand body (also ``analyze --compare``)."""
-    try:
-        session = _session_from_args(args, machine)
-    except SessionConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    model_result, cached, exit_code = _model_result_with_store(
-        args, session, scop, structural=structural
-    )
+    machine = _machine_from_args(args)
+    scop = _load_scop(args)
+    session = _session_from_args(args, machine)
+    simulator = _simulator(args, machine)
+    model_result, cached, exit_code = _model_result_with_store(args, session, scop)
     if model_result is None:
         return exit_code
-    sim_result = _simulator(machine, args.associativity, args.backend).run(scop)
+    sim_result = simulator.run(scop)
     rows = []
     disagreement = 0
     for index, level in enumerate(model_result.level_results):
@@ -898,21 +681,13 @@ def _run_compare(args, machine: MachineModel, scop, *, structural: bool = False)
     return 1 if disagreement else 0
 
 
-def _run_curve(args, machine: MachineModel, scop, *, structural: bool = False) -> int:
-    """``curve`` subcommand: one analysis, a whole capacity sweep."""
-    try:
-        sweep = _curve_capacities(args, machine)
-    except _ArgsError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        session = _session_from_args(args, machine).sweep(capacities=sweep)
-    except SessionConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    result, cached, exit_code = _model_result_with_store(
-        args, session, scop, structural=structural
-    )
+def _run_curve(args) -> int:
+    """``curve`` subcommand (also ``analyze --curve``): one analysis, a whole capacity sweep."""
+    machine = _machine_from_args(args)
+    scop = _load_scop(args)
+    sweep = _curve_capacities(args, machine)
+    session = _session_from_args(args, machine).sweep(capacities=sweep)
+    result, cached, exit_code = _model_result_with_store(args, session, scop)
     if result is None:
         return exit_code
     curve = result.miss_curve
@@ -952,44 +727,31 @@ def _run_curve(args, machine: MachineModel, scop, *, structural: bool = False) -
     return 0
 
 
-def _run_explore(args, machine: MachineModel) -> int:
+def _run_explore(args) -> int:
     """``explore`` subcommand: rank a design grid, print its Pareto front.
 
     One symbolic analysis per (tile, line size); the capacity and
     associativity axes ride the parametric miss curve for free (see
     :mod:`repro.explore`).  Axis flags all parse through :mod:`repro.sweep`.
     """
-    try:
-        capacities = set()
-        if args.capacities:
-            capacities.update(_axis_values(args.capacities, label="--capacities"))
-        if args.sweep:
-            capacities.update(_sweep_sizes(args.sweep))
-        tiles = _axis_values(args.tiles, label="--tiles") if args.tiles else None
-        line_sizes = (
-            _axis_values(args.line_sizes, label="--line-sizes") if args.line_sizes else None
-        )
-        ways = (
-            _axis_values(args.associativities, label="--associativities")
-            if args.associativities
-            else None
-        )
-    except _ArgsError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        session = _session_from_args(args, machine)
-        result = session.explore(
-            args.kernel,
-            args.dataset,
-            tiles=tiles,
-            capacities=sorted(capacities) or None,
-            line_sizes=line_sizes,
-            associativities=ways,
-        )
-    except SessionConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    machine = _machine_from_args(args)
+    _load_scop(args)  # unknown kernels and datasets fail before the axes parse
+
+    def axis(spec, label):
+        return list(Sweep.parse(spec, label=label).values) if spec else None
+
+    capacities = _capacities(args)
+    tiles = axis(args.tiles, "--tiles")
+    line_sizes = axis(args.line_sizes, "--line-sizes")
+    ways = axis(args.associativities, "--associativities")
+    result = _session_from_args(args, machine).explore(
+        args.kernel,
+        args.dataset,
+        tiles=tiles,
+        capacities=capacities or None,
+        line_sizes=line_sizes,
+        associativities=ways,
+    )
     if args.json:
         payload = result.to_dict()
         payload["table_digest"] = result.table_digest()
@@ -1043,44 +805,18 @@ def _run_analyze(args) -> int:
     structure, so editing the file never serves a stale cached result.
     """
     if args.curve and args.compare:
-        print("--curve and --compare are mutually exclusive", file=sys.stderr)
-        return 2
+        raise _ArgsError("--curve and --compare are mutually exclusive")
     if args.json and not args.curve:
-        print("--json requires --curve", file=sys.stderr)
-        return 2
+        raise _ArgsError("--json requires --curve")
     if args.associativity is not None and not args.compare:
-        print("--associativity only applies with --compare", file=sys.stderr)
-        return 2
+        raise _ArgsError("--associativity only applies with --compare")
     if (args.sweep or args.capacities) and not args.curve:
-        print("--sweep/--capacities only apply with --curve", file=sys.stderr)
-        return 2
-    try:
-        machine = _machine_from_args(args)
-    except (_ArgsError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        program = parse_kernel_path(args.file)
-    except OSError as exc:
-        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-        return 2
-    except KernelParseError as exc:
-        print(exc.render(), file=sys.stderr)
-        return 2
-    dataset = args.dataset or next(iter(program.datasets))
-    try:
-        scop = program.instantiate(program.dataset_sizes(dataset))
-    except KernelParseError as exc:
-        print(exc.render(), file=sys.stderr)
-        return 2
-    # Downstream helpers label output and key the store off these fields.
-    args.dataset = dataset
-    args.kernel = program.name
+        raise _ArgsError("--sweep/--capacities only apply with --curve")
     if args.curve:
-        return _run_curve(args, machine, scop, structural=True)
+        return _run_curve(args)
     if args.compare:
-        return _run_compare(args, machine, scop, structural=True)
-    return _run_model(args, machine, scop, structural=True)
+        return _run_compare(args)
+    return _run_model(args)
 
 
 def _run_lint(args) -> int:
@@ -1093,43 +829,13 @@ def _run_lint(args) -> int:
     from .verify import verify_scop
 
     if (args.file is None) == (args.kernel is None):
-        print("lint needs exactly one input: a .knl file or --kernel NAME", file=sys.stderr)
-        return 2
-    try:
-        machine = _machine_from_args(args)
-    except (_ArgsError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    if args.file is not None:
-        try:
-            program = parse_kernel_path(args.file)
-        except OSError as exc:
-            print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-            return 2
-        except KernelParseError as exc:
-            print(exc.render(), file=sys.stderr)
-            return 2
-        dataset = args.dataset or next(iter(program.datasets))
-        kernel = program.name
-        try:
-            scop = program.instantiate(program.dataset_sizes(dataset))
-        except KernelParseError as exc:
-            print(exc.render(), file=sys.stderr)
-            return 2
-    else:
-        dataset = args.dataset or "mini"
-        kernel = args.kernel
-        try:
-            scop = registry.get_kernel(kernel).build(dataset)
-        except RegistryError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
+        raise _ArgsError("lint needs exactly one input: a .knl file or --kernel NAME")
+    machine = _machine_from_args(args)
+    scop = _load_scop(args)
     report = verify_scop(
         scop,
         machine,
-        dataset=dataset,
+        dataset=args.dataset,
         budget=_budget_value(args),
         cost=not args.no_cost,
     )
@@ -1139,11 +845,11 @@ def _run_lint(args) -> int:
         return 3 if failed else 0
 
     counts = report.counts()
-    source = args.file if args.file is not None else kernel
+    source = args.file if args.file is not None else args.kernel
     if report.diagnostics:
         print(
             format_diagnostics(
-                report.diagnostics, title=f"{kernel} ({dataset}) — lint of {source}"
+                report.diagnostics, title=f"{args.kernel} ({args.dataset}) — lint of {source}"
             )
         )
     summary = ", ".join(f"{counts[name]} {name}(s)" for name in ("error", "warning", "info"))
@@ -1156,87 +862,32 @@ def _run_lint(args) -> int:
     return 3 if failed else 0
 
 
-def _run_kernels(args) -> int:
-    """``kernels`` subcommand: everything the registries know about."""
-    kernels = [
-        {"name": entry.name, "datasets": list(entry.datasets), "source": entry.source}
-        for entry in registry.kernel_entries()
-    ]
-    machines = []
-    for entry in registry.machine_entries():
-        # A broken factory (e.g. a buggy plugin) must not take down the one
-        # command users run to see what registered; warn and keep listing.
-        try:
-            model = entry.build()
-        except Exception as exc:  # noqa: BLE001 - plugin isolation
-            print(f"warning: machine {entry.name!r} failed to build: {exc}", file=sys.stderr)
-            continue
-        machines.append(
-            {
-                "name": entry.name,
-                "levels": [level.size for level in model.levels],
-                "line_size": model.line_size,
-                "description": entry.description,
-                "source": entry.source,
-            }
-        )
-    if args.json:
-        print(json.dumps({"kernels": kernels, "machines": machines}, indent=2, sort_keys=True))
-        return 0
-    kernel_rows = [(k["name"], ", ".join(k["datasets"]), k["source"]) for k in kernels]
-    machine_rows = [
-        (
-            m["name"],
-            "+".join(str(size) for size in m["levels"]),
-            m["line_size"],
-            m["description"] or "-",
-            m["source"],
-        )
-        for m in machines
-    ]
-    print(format_table(["kernel", "datasets", "source"], kernel_rows,
-                       title=f"{len(kernel_rows)} registered kernels"))
-    print()
-    print(format_table(["machine", "levels [B]", "line [B]", "description", "source"], machine_rows,
-                       title=f"{len(machine_rows)} registered machine presets"))
-    return 0
-
-
 def _run_batch(args) -> int:
+    """``batch`` subcommand: a kernel x dataset matrix across a worker pool."""
     if args.kernels.strip().lower() == "all":
         kernels = registry.kernel_names()
     else:
         kernels = [name.strip() for name in args.kernels.split(",") if name.strip()]
     datasets = [name.strip() for name in args.datasets.split(",") if name.strip()]
     if not kernels:
-        print("no kernels given (use --kernels name[,name...] or --kernels all)", file=sys.stderr)
-        return 2
+        raise _ArgsError("no kernels given (use --kernels name[,name...] or --kernels all)")
     if not datasets:
-        print("no datasets given (use --datasets name[,name...])", file=sys.stderr)
-        return 2
+        raise _ArgsError("no datasets given (use --datasets name[,name...])")
     known = set(registry.kernel_names())
     unknown = [name for name in kernels if name not in known]
     if unknown:
-        print(f"unknown kernels: {', '.join(unknown)}", file=sys.stderr)
-        return 2
+        raise _ArgsError(f"unknown kernels: {', '.join(unknown)}")
     known_datasets = set(registry.dataset_names())
     invalid = [name for name in datasets if name not in known_datasets]
     if invalid:
-        print(f"unknown datasets: {', '.join(invalid)}", file=sys.stderr)
-        return 2
+        raise _ArgsError(f"unknown datasets: {', '.join(invalid)}")
     if args.l1 is not None and args.l1 <= 0:
-        print("--l1 must be a positive size in bytes (only L2/L3 can be disabled with 0)", file=sys.stderr)
-        return 2
-    try:
-        machine = _machine_from_args(args)
-    except (_ArgsError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        session = _session_from_args(args, machine).workers(args.jobs)
-    except SessionConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise _ArgsError("--l1 must be a positive size in bytes (only L2/L3 can be disabled with 0)")
+    # Fail before the jobs run, not when the finished batch is written.
+    if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+        raise _ArgsError(f"--output directory does not exist: {os.path.dirname(args.output)}")
+    machine = _machine_from_args(args)
+    session = _session_from_args(args, machine).workers(args.jobs)
     progress = None
     if args.progress:
         def progress(record, done, total):
@@ -1244,11 +895,7 @@ def _run_batch(args) -> int:
             print(f"[{done}/{total}] {record.kernel}/{record.dataset}: {status} "
                   f"({record.elapsed_seconds:.2f}s)", file=sys.stderr)
             sys.stderr.flush()
-    try:
-        batch = session.kernels(*kernels).datasets(*datasets).run(progress=progress)
-    except (SessionConfigError, RegistryError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    batch = session.kernels(*kernels).datasets(*datasets).run(progress=progress)
     print(format_batch_summary(batch))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -1258,24 +905,59 @@ def _run_batch(args) -> int:
     return 0 if batch.error_count == 0 else 1
 
 
+def _run_bench(args) -> int:
+    """``bench`` subcommand: run a suite, then compare or refresh the baseline."""
+    output = args.output or f"BENCH_{args.suite}.json"
+    baseline_path = args.baseline or str(default_baseline_path(args.suite))
+    # Default to a fresh throwaway store so the measurement is a defined
+    # cold run; --store-path measures against existing warmth (that is how
+    # CI exercises the warm-rerun speedup) and --no-store drops the store
+    # entirely.
+    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as scratch:
+        report = run_suite(
+            args.suite, jobs=args.jobs, store_path=_store_path(args, scratch), backend=args.backend
+        )
+    write_report(report, output)
+
+    if args.update_baseline:
+        write_report(report, baseline_path)
+        print(format_bench_summary(report))
+        print(f"wrote report to {output} and refreshed baseline {baseline_path}")
+        return 0
+
+    regressions = None
+    if args.compare:
+        try:
+            baseline = load_report(baseline_path)
+        except (OSError, ValueError) as exc:
+            raise _ArgsError(
+                f"cannot load baseline {baseline_path}: {exc} "
+                "(generate one with `repro-haystack bench --update-baseline`)"
+            ) from None
+        regressions = compare_reports(
+            report, baseline, tolerance=args.tolerance, check_wall=not args.no_wall
+        )
+    print(format_bench_summary(report, regressions))
+    print(f"wrote report to {output}")
+    return 4 if regressions else 0
+
+
 def _run_serve(args) -> int:
-    """Run the analysis HTTP service until interrupted."""
+    """``serve`` subcommand: run the analysis HTTP service until interrupted."""
     import asyncio
 
     from .server import AnalysisService, HttpServer
 
     try:
         service = AnalysisService(
-            store_path=None if args.no_store else (args.store_path or default_store_path()),
-            store_backend=getattr(args, "store_backend", None),
+            store_path=_store_path(args),
             workers=args.workers,
             max_inflight=args.max_inflight,
             max_budget=args.max_budget,
             default_budget=_budget_value(args),
         )
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise _ArgsError(str(exc)) from None
     server = HttpServer(service, host=args.host, port=args.port)
 
     async def _serve() -> None:
@@ -1300,56 +982,280 @@ def _run_serve(args) -> int:
     return 0
 
 
-def _run_bench(args) -> int:
-    output = args.output or f"BENCH_{args.suite}.json"
-    baseline_path = args.baseline or str(default_baseline_path(args.suite))
-    # Default to a fresh throwaway store so the measurement is a defined
-    # cold run; --store-path measures against existing warmth (that is how
-    # CI exercises the warm-rerun speedup) and --no-store drops the store
-    # entirely.
-    tmp_store = None
-    if args.no_store:
-        store_path = None
-    elif args.store_path:
-        store_path = make_store_spec(args.store_path, getattr(args, "store_backend", None))
-    else:
-        tmp_store = tempfile.TemporaryDirectory(prefix="repro-bench-store-")
-        store_path = make_store_spec(tmp_store.name, getattr(args, "store_backend", None))
-    try:
-        report = run_suite(args.suite, jobs=args.jobs, store_path=store_path, backend=args.backend)
-    except SessionConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    finally:
-        if tmp_store is not None:
-            tmp_store.cleanup()
-    write_report(report, output)
-
-    if args.update_baseline:
-        write_report(report, baseline_path)
-        print(format_bench_summary(report))
-        print(f"wrote report to {output} and refreshed baseline {baseline_path}")
-        return 0
-
-    regressions = None
-    if args.compare:
-        try:
-            baseline = load_report(baseline_path)
-        except (OSError, ValueError) as exc:
-            print(
-                f"cannot load baseline {baseline_path}: {exc} "
-                "(generate one with `repro-haystack bench --update-baseline`)",
-                file=sys.stderr,
-            )
-            return 2
-        regressions = compare_reports(
-            report, baseline, tolerance=args.tolerance, check_wall=not args.no_wall
-        )
-    print(format_bench_summary(report, regressions))
-    print(f"wrote report to {output}")
-    if args.compare:
-        return 4 if regressions else 0
-    return 0
+#: Every subcommand, in ``--help`` order.  A new subcommand is one row here
+#: plus its runner.
+COMMANDS: Tuple[Command, ...] = (
+    Command("list", "list the available kernel names", _run_list),
+    Command("kernels", "list registered kernels, datasets and machine presets", _run_kernels, ("json",)),
+    Command(
+        "model",
+        "run the analytical cache model",
+        _run_model,
+        ("kernel", "machine", "no-fallback", "budget", "store", "backend"),
+    ),
+    Command(
+        "analyze",
+        "parse a kernel DSL (.knl) file and run the analytical model on it",
+        _run_analyze,
+        (
+            _arg("file", help="kernel DSL file (language reference: docs/KERNEL_DSL.md)"),
+            _arg(
+                "--dataset",
+                default=None,
+                help="dataset block of the file to instantiate (default: its first block)",
+            ),
+            "machine",
+            "no-fallback",
+            _arg(
+                "--curve",
+                action="store_true",
+                help="report a miss curve over a capacity sweep instead of the level table",
+            ),
+            "sweep",
+            "json",
+            _arg(
+                "--compare",
+                action="store_true",
+                help="also run the trace simulator and compare the miss counts",
+            ),
+            "associativity",
+            "budget",
+            "store",
+            "backend",
+        ),
+    ),
+    Command(
+        "lint",
+        "statically verify a kernel and predict its symbolic cost "
+        "without running the model (diagnostic codes: docs/LINT.md)",
+        _run_lint,
+        (
+            _arg(
+                "file",
+                nargs="?",
+                default=None,
+                help="kernel DSL (.knl) file to lint; alternatively use --kernel",
+            ),
+            _arg(
+                "--kernel",
+                default=None,
+                metavar="NAME",
+                help="registered kernel to lint instead of a file (see `list`)",
+            ),
+            _arg(
+                "--dataset",
+                default=None,
+                help="dataset to instantiate (default: the file's first block, or "
+                "'mini' for registered kernels)",
+            ),
+            "json",
+            _arg("--strict", action="store_true", help="warnings also fail the lint (exit 3), not just errors"),
+            _arg(
+                "--no-cost",
+                action="store_true",
+                help="skip the symbolic-cost probe (COST findings); static checks only",
+            ),
+            "machine",
+            "budget",
+        ),
+    ),
+    Command(
+        "simulate",
+        "run the trace-driven simulator",
+        _run_simulate,
+        (
+            "kernel",
+            "machine",
+            "associativity",
+            _arg(
+                "--policy",
+                choices=["lru", "fifo", "tree-plru"],
+                default="lru",
+                help="replacement policy for set-associative levels (default lru)",
+            ),
+            _arg(
+                "--prefetch-degree",
+                type=_nonnegative_int,
+                default=0,
+                metavar="N",
+                help="next-line prefetcher: install N sequential lines on every miss "
+                "(default 0 = disabled; forces the reference simulator)",
+            ),
+            "backend",
+        ),
+    ),
+    Command(
+        "curve",
+        "miss curve: sweep many cache sizes from one analysis",
+        _run_curve,
+        ("kernel", "machine", "sweep", "json", "no-fallback", "budget", "store", "backend"),
+    ),
+    Command(
+        "explore",
+        "design-space explorer: rank a tile x capacity x line-size x "
+        "associativity grid and report its Pareto front (docs/EXPLORE.md)",
+        _run_explore,
+        (
+            "kernel",
+            "machine",
+            _arg(
+                "--tiles",
+                metavar="LIST",
+                default=None,
+                help="tile sizes to explore (comma-separated values and MIN:MAX[:POINTS] "
+                "ranges; 1 = untiled; default: 1 only)",
+            ),
+            "sweep",
+            _arg(
+                "--line-sizes",
+                metavar="LIST",
+                default=None,
+                help="cache line sizes to explore (default: the machine's line size)",
+            ),
+            _arg(
+                "--associativities",
+                metavar="LIST",
+                default=None,
+                help="way counts for the hardware-cost axis (the miss prediction is "
+                "associativity-blind; default: fully associative)",
+            ),
+            _arg("--pareto", action="store_true", help="print only the Pareto-optimal rows"),
+            _arg(
+                "--limit",
+                type=_positive_int,
+                default=None,
+                metavar="N",
+                help="print at most N ranked rows (default: all)",
+            ),
+            "json",
+            "no-fallback",
+            "budget",
+            "store",
+            "backend",
+        ),
+    ),
+    Command(
+        "compare",
+        "run both and compare the miss counts",
+        _run_compare,
+        ("kernel", "machine", "associativity", "no-fallback", "budget", "store", "backend"),
+    ),
+    Command(
+        "batch",
+        "analyse a kernel x dataset matrix across a worker pool",
+        _run_batch,
+        (
+            _arg(
+                "--kernels",
+                required=True,
+                help="comma-separated kernel names, or 'all' for every registered kernel",
+            ),
+            _arg("--datasets", default="mini", help="comma-separated dataset classes (default: mini)"),
+            _JOBS,
+            _arg("--output", metavar="FILE", help="write the batch results as JSON"),
+            "machine",
+            "no-fallback",
+            _arg(
+                "--progress",
+                action="store_true",
+                help="stream one line per job to stderr as the pool completes them",
+            ),
+            "budget",
+            "store",
+            "backend",
+        ),
+    ),
+    Command(
+        "bench",
+        "run a named benchmark suite and compare against a baseline",
+        _run_bench,
+        (
+            _arg("--suite", default="smoke", choices=_SuiteNames(), help="workload suite (default: smoke)"),
+            _arg(
+                "--output",
+                metavar="FILE",
+                default=None,
+                help="report path (default: BENCH_<suite>.json in the current directory)",
+            ),
+            _OneOf(
+                (
+                    _arg(
+                        "--compare",
+                        action="store_true",
+                        help="compare the report against the baseline and exit 4 on regression",
+                    ),
+                    _arg(
+                        "--update-baseline",
+                        action="store_true",
+                        help="write the report to the baseline path instead of comparing",
+                    ),
+                )
+            ),
+            _arg(
+                "--baseline",
+                metavar="FILE",
+                default=None,
+                help="baseline report (default: benchmarks/baselines/BENCH_<suite>.json)",
+            ),
+            _arg(
+                "--tolerance",
+                type=_tolerance,
+                default=0.2,
+                metavar="FRAC",
+                help="allowed relative rise of wall time and work units (default: 0.2)",
+            ),
+            _arg(
+                "--no-wall",
+                action="store_true",
+                help="skip the wall-clock comparison (deterministic metrics only)",
+            ),
+            _JOBS,
+            "store",
+            "backend",
+        ),
+    ),
+    Command(
+        "serve",
+        "run the analysis HTTP service (endpoints: /healthz, /stats, "
+        "/v1/analyze, /v1/batch; see docs/SERVER.md)",
+        _run_serve,
+        (
+            _arg("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"),
+            _arg("--port", type=_port, default=8157, help="TCP port; 0 picks an ephemeral port (default: 8157)"),
+            _arg(
+                "--port-file",
+                metavar="FILE",
+                default=None,
+                help="write the bound port to FILE once listening (ephemeral-port discovery)",
+            ),
+            _arg(
+                "--workers",
+                type=_nonnegative_int,
+                default=2,
+                metavar="N",
+                help="engine worker processes (0 = run jobs on server threads; default: 2)",
+            ),
+            _arg(
+                "--max-inflight",
+                type=_positive_int,
+                default=8,
+                metavar="N",
+                help="admission cap on concurrently executing jobs; beyond it requests "
+                "are shed with 429 (default: 8)",
+            ),
+            _arg(
+                "--max-budget",
+                type=_positive_int,
+                default=None,
+                metavar="UNITS",
+                help="admission ceiling on per-request symbolic work budgets; requests "
+                "above it (or asking for unlimited) are shed with 429 (default: no ceiling)",
+            ),
+            "budget",
+            "store",
+        ),
+    ),
+)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -57,7 +57,7 @@ def parse_size(text: str, *, label: str = "size") -> int:
         raise SweepError(f"cannot parse {label} {text!r} (use bytes or K/M/G suffixes)")
     value = int(match.group(1))
     if value <= 0:
-        raise SweepError(f"{label}s must be positive, got {text!r}")
+        raise SweepError(f"{label} must be positive, got {text!r}")
     return value * _SIZE_SCALES[match.group(2) or ""]
 
 

@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
-from repro.cli import main
+import pytest
+
+from repro.cli import COMMANDS, main
 from repro.core.results import ModelResult
 from repro.engine import BatchResult
 from repro.scop.polybench import kernel_names
@@ -332,3 +334,66 @@ class TestLint:
         bad.write_text("kernel bad\narray A[8]\nS0: { [i] 0 <= i < 8 }\n    A[i] = 0\n")
         assert main(["lint", str(bad), "--no-cost"]) == 2
         assert f"{bad}:3:11:" in capsys.readouterr().err
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command.name)
+    def test_every_row_builds_and_rejects_unknown_kernels(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command.name, "--help"])
+        assert excinfo.value.code == 0
+        assert f"repro-haystack {command.name}" in capsys.readouterr().out
+        if "kernel" in command.args:
+            assert main([command.name, "no-such-kernel"]) == 2
+            err = capsys.readouterr().err
+            assert "unknown kernel 'no-such-kernel'" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestUsageErrors:
+    """Bad input exits 2 without a traceback, before any analysis or trace runs."""
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("ways", ["0", "-2"])
+    def test_associativity_must_be_positive(self, command, ways, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "trisolv", "--associativity", ways])
+        assert excinfo.value.code == 2
+        assert "--associativity: must be >= 1" in capsys.readouterr().err
+
+    def test_analyze_compare_associativity_must_be_positive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", TestAnalyze.GEMM_KNL, "--compare", "--associativity", "0"])
+        assert excinfo.value.code == 2
+        assert "--associativity: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "trisolv", "--associativity", "3"], "multiple of line size * associativity"),
+            (["simulate", "trisolv", "--l1", "100"], "multiple of the line size"),
+            (["simulate", "trisolv", "--l1", "100", "--backend", "python"], "multiple of the line size"),
+            (["compare", "trisolv", "--l1", "100", *FAST, "--no-store"], "multiple of the line size"),
+            (["compare", "trisolv", "--associativity", "3", *FAST, "--no-store"], "line size * associativity"),
+        ],
+    )
+    def test_simulator_geometry_is_checked_up_front(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        # One line, and no fallback warning: the model never started.
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_serve_port_out_of_range(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "70000"])
+        assert excinfo.value.code == 2
+        assert "--port: must be in 0..65535" in capsys.readouterr().err
+
+    def test_batch_output_directory_must_exist(self, tmp_path, capsys):
+        output = tmp_path / "missing" / "x.json"
+        assert main(["batch", "--kernels", "gemm", *FAST, "--no-store", "--output", str(output)]) == 2
+        captured = capsys.readouterr()
+        assert "--output directory does not exist" in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""

@@ -42,6 +42,8 @@ class TestParseSize:
     def test_zero_is_rejected(self):
         with pytest.raises(SweepError, match="positive"):
             parse_size("0K")
+        with pytest.raises(SweepError, match=r"^--associativities must be positive, got '0'$"):
+            parse_size("0", label="--associativities")
 
     def test_error_names_the_axis(self):
         with pytest.raises(SweepError, match="line size"):
