@@ -14,8 +14,8 @@ stack-distance polynomials div-free).  Dedicated line-granularity workloads
 for the experiments that study exactly those code paths (Figure 14, Table 1).
 
 Simulator backends: every trace-driven helper (``run_simulator``,
-``reference_misses``) runs on the backend resolved by ``REPRO_BACKEND`` /
-NumPy availability, exactly like the model's trace fallback.  The regression
+``reference_misses``) runs on the vectorized NumPy engine, exactly like the
+model's trace fallback.  The regression
 harness additionally carries a ``trace`` workload (see
 ``repro.reporting.bench.SUITES``): a fig10-style simulator run timed under
 *both* backends, whose numpy-vs-python speedup ratio lands in
@@ -33,7 +33,8 @@ from repro.api import Session
 from repro.core import CacheLevelSpec, MachineModel, ModelOptions, ModelResult
 from repro.engine.batch import default_worker_count
 from repro.scop import Scop, ScopBuilder
-from repro.simulator import CacheLevelConfig, DineroSimulator, StackDistanceProfiler, TraceGenerator
+from repro.simulator import CacheLevelConfig, DineroSimulator
+from repro.simulator.vectorized import misses_for_capacity, trace_arrays
 
 LINE = 64
 
@@ -348,20 +349,10 @@ def run_simulator(scop: Scop, levels: Tuple[int, ...] = (L1_SIZE, L2_SIZE), asso
 
 
 def reference_misses(scop: Scop, cache_lines: int, line_size: int = LINE) -> Tuple[int, int]:
-    """Exact (compulsory, capacity) misses from the stack-distance profiler.
-
-    Uses the vectorized profiler when the resolved backend is ``numpy``;
-    both implementations return identical counts.
-    """
-    from repro.simulator import resolve_backend
-
-    if resolve_backend("auto") == "numpy":
-        from repro.simulator.vectorized import misses_for_capacity, trace_arrays
-
-        arrays = trace_arrays(scop, line_size=line_size, padded=True)
-        return misses_for_capacity(arrays.line_indices(), cache_lines)
-    trace = list(TraceGenerator(scop, line_size=line_size).line_trace())
-    return StackDistanceProfiler().misses_for_capacity(trace, cache_lines)
+    """Exact (compulsory, capacity) misses from the vectorized stack-distance
+    profiler (identical to the reference :class:`StackDistanceProfiler`)."""
+    arrays = trace_arrays(scop, line_size=line_size, padded=True)
+    return misses_for_capacity(arrays.line_indices(), cache_lines)
 
 
 def timed(fn, *args, **kwargs):

@@ -14,8 +14,8 @@ configurations ranked by predicted misses (``docs/EXPLORE.md`` documents the
 output anatomy).  Tile 1 is the untiled baseline.
 
 Run with:  python examples/tile_size_selection.py
-(The tiled variants take a few minutes each with the pure-Python backend;
-set REPRO_EXAMPLE_FAST=1 for a seconds-scale variant used by CI.)
+(The tiled variants take a few minutes each on the pure-Python polyhedral
+substrate; set REPRO_EXAMPLE_FAST=1 for a seconds-scale variant used by CI.)
 """
 
 import os

@@ -85,17 +85,14 @@ class Session:
 
     def __init__(self, machine: Union[str, MachineModel, None] = None) -> None:
         from . import registry
-        from ..simulator.vectorized import validate_backend_env
 
-        # A bad $REPRO_BACKEND would otherwise leak through backend="auto"
-        # into a deep ValueError at trace-fallback time, and a bad
-        # $REPRO_STORE_PATH / $REPRO_STORE_BACKEND into a failure (or a
-        # silently disabled store) mid-analysis; fail at session
-        # construction instead, with the offending value named.
+        # A bad $REPRO_STORE_PATH / $REPRO_STORE_BACKEND would otherwise
+        # surface as a failure (or a silently disabled store) mid-analysis;
+        # fail at session construction instead, with the offending value
+        # named.
         from ..engine.store import validate_store_env
 
         try:
-            validate_backend_env()
             validate_store_env()
         except ValueError as exc:
             raise SessionConfigError(str(exc)) from None
@@ -106,7 +103,7 @@ class Session:
         self._budget: Optional[int] = None
         self._workers: int = 1
         self._store_path: Optional[str] = None
-        self._backend: str = "auto"
+        self._backend: str = "numpy"
         self._capacities: Tuple[int, ...] = ()
         self._tiles: Tuple[int, ...] = ()
         self._line_sizes: Tuple[int, ...] = ()
@@ -145,16 +142,14 @@ class Session:
         return self
 
     def backend(self, name: str) -> "Session":
-        """Concrete-pipeline backend for trace fallback, cross-check, and
-        simulator baselines: ``"numpy"`` (vectorized), ``"python"``
-        (reference loops), or ``"auto"`` (NumPy when installed).  Validated
-        eagerly; an explicit ``"numpy"`` without NumPy installed raises at
-        the call site."""
-        from ..simulator.vectorized import BackendUnavailableError, resolve_backend
+        """Numeric backend for trace fallback, cross-check, simulator
+        baselines and curve evaluation: ``"numpy"`` (vectorized, default) or
+        ``"python"`` (the reference oracle).  Validated eagerly."""
+        from ..isl.veceval import check_backend
 
         try:
-            resolve_backend(name)
-        except (ValueError, BackendUnavailableError) as exc:
+            check_backend(name)
+        except ValueError as exc:
             raise SessionConfigError(str(exc)) from None
         self._backend = name
         return self

@@ -64,14 +64,7 @@ from .reporting.bench import (
     suite_names,
     write_report,
 )
-from .simulator import (
-    BACKENDS,
-    BackendUnavailableError,
-    CacheLevelConfig,
-    DineroSimulator,
-    resolve_backend,
-    validate_backend_env,
-)
+from .simulator import CacheLevelConfig, DineroSimulator
 
 __all__ = ["COMMANDS", "Command", "main"]
 
@@ -204,16 +197,6 @@ ARG_GROUPS: Dict[str, Tuple[ArgSpec, ...]] = {
             "default: $REPRO_STORE_BACKEND or dir",
         ),
     ),
-    "backend": (
-        _arg(
-            "--backend",
-            choices=list(BACKENDS),
-            default="auto",
-            help="concrete-pipeline implementation: 'numpy' (vectorized), 'python' "
-            "(reference), 'auto' = NumPy when installed (default; both backends "
-            "produce identical results)",
-        ),
-    ),
     "no-fallback": (
         _arg(
             "--no-fallback",
@@ -283,10 +266,10 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-haystack",
         description=__doc__,
-        epilog="Environment variables (REPRO_BACKEND, REPRO_STORE_PATH, "
-        "REPRO_STORE_BACKEND, REPRO_STORE_MAX_BYTES, REPRO_BENCH_JOBS, "
-        "REPRO_EXAMPLE_FAST) are documented in the README's 'Environment "
-        "variables' table; see also docs/ARCHITECTURE.md and docs/PERFORMANCE.md.",
+        epilog="Environment variables (REPRO_STORE_PATH, REPRO_STORE_BACKEND, "
+        "REPRO_STORE_MAX_BYTES, REPRO_BENCH_JOBS, REPRO_EXAMPLE_FAST) are "
+        "documented in the README's 'Environment variables' table; see also "
+        "docs/ARCHITECTURE.md and docs/PERFORMANCE.md.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
@@ -309,14 +292,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _check_environment(args) -> None:
-    """Reject a bad ``$REPRO_BACKEND``, ``$REPRO_STORE_*`` or ``--store-path``.
+    """Reject a bad ``$REPRO_STORE_*`` or ``--store-path``.
 
-    Otherwise a bad backend would ride through ``backend="auto"`` into a deep
-    ``ValueError`` mid-run, and a bad store location into a failure (or a
-    silently disabled store) mid-analysis.
+    Otherwise a bad store location would surface as a failure (or a silently
+    disabled store) mid-analysis.
     """
     try:
-        validate_backend_env()
         validate_store_env()
         if getattr(args, "store_path", None) and not args.no_store:
             validate_store_path(args.store_path, args.store_backend)
@@ -442,7 +423,6 @@ def _session_from_args(args, machine: MachineModel) -> Session:
     session = Session().machine(machine).budget(_budget_value(args))
     if args.no_fallback:
         session.options(fallback=False)
-    session.backend(args.backend)
     path = _store_path(args)
     if path:
         session.store(path)
@@ -524,8 +504,8 @@ def _model_stats_line(result: ModelResult, cached: bool, store_enabled: bool) ->
 def _simulator(args, machine: MachineModel) -> DineroSimulator:
     """The trace simulator for ``machine`` and ``--associativity``.
 
-    The geometry and backend are checked here, before any analysis or trace
-    runs; the caches repeat the geometry checks as a safety net.
+    The geometry is checked here, before any analysis or trace runs; the
+    caches repeat the geometry checks as a safety net.
     """
     ways = args.associativity
     for index, level in enumerate(machine.levels):
@@ -543,10 +523,6 @@ def _simulator(args, machine: MachineModel) -> DineroSimulator:
             f"{problem} ({level.label(index)}: {level.size} B, line size "
             f"{machine.line_size} B, associativity {ways or 'full'})"
         )
-    try:
-        resolve_backend(args.backend)
-    except BackendUnavailableError as exc:
-        raise _ArgsError(str(exc)) from None
     return DineroSimulator(
         [
             CacheLevelConfig(
@@ -557,8 +533,7 @@ def _simulator(args, machine: MachineModel) -> DineroSimulator:
                 prefetch_degree=getattr(args, "prefetch_degree", 0),
             )
             for level in machine.levels
-        ],
-        backend=args.backend,
+        ]
     )
 
 
@@ -914,9 +889,7 @@ def _run_bench(args) -> int:
     # CI exercises the warm-rerun speedup) and --no-store drops the store
     # entirely.
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as scratch:
-        report = run_suite(
-            args.suite, jobs=args.jobs, store_path=_store_path(args, scratch), backend=args.backend
-        )
+        report = run_suite(args.suite, jobs=args.jobs, store_path=_store_path(args, scratch))
     write_report(report, output)
 
     if args.update_baseline:
@@ -991,7 +964,7 @@ COMMANDS: Tuple[Command, ...] = (
         "model",
         "run the analytical cache model",
         _run_model,
-        ("kernel", "machine", "no-fallback", "budget", "store", "backend"),
+        ("kernel", "machine", "no-fallback", "budget", "store"),
     ),
     Command(
         "analyze",
@@ -1021,7 +994,6 @@ COMMANDS: Tuple[Command, ...] = (
             "associativity",
             "budget",
             "store",
-            "backend",
         ),
     ),
     Command(
@@ -1081,14 +1053,13 @@ COMMANDS: Tuple[Command, ...] = (
                 help="next-line prefetcher: install N sequential lines on every miss "
                 "(default 0 = disabled; forces the reference simulator)",
             ),
-            "backend",
         ),
     ),
     Command(
         "curve",
         "miss curve: sweep many cache sizes from one analysis",
         _run_curve,
-        ("kernel", "machine", "sweep", "json", "no-fallback", "budget", "store", "backend"),
+        ("kernel", "machine", "sweep", "json", "no-fallback", "budget", "store"),
     ),
     Command(
         "explore",
@@ -1131,14 +1102,13 @@ COMMANDS: Tuple[Command, ...] = (
             "no-fallback",
             "budget",
             "store",
-            "backend",
         ),
     ),
     Command(
         "compare",
         "run both and compare the miss counts",
         _run_compare,
-        ("kernel", "machine", "associativity", "no-fallback", "budget", "store", "backend"),
+        ("kernel", "machine", "associativity", "no-fallback", "budget", "store"),
     ),
     Command(
         "batch",
@@ -1162,7 +1132,6 @@ COMMANDS: Tuple[Command, ...] = (
             ),
             "budget",
             "store",
-            "backend",
         ),
     ),
     Command(
@@ -1211,7 +1180,6 @@ COMMANDS: Tuple[Command, ...] = (
             ),
             _JOBS,
             "store",
-            "backend",
         ),
     ),
     Command(

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set
 from ..isl.constraints import ConstraintSystem, enumerate_points, ge
 from ..isl.counting import CountingError, Piece, cardinality, count_points, piecewise_values
 from ..isl.qpoly import Div, QPoly
-from ..isl.veceval import resolve_backend
+from ..isl.veceval import check_backend
 from .distance import DistancePiece
 from .elimination import equalize, rasterize
 from .prevmap import ModelFallbackRequired
@@ -97,8 +97,8 @@ class CapacityCounter:
     charge the process-global active budget themselves.  Charges depend only
     on the pieces and options — never on cache warmth or the ``backend``.
 
-    ``backend`` (``"auto"|"numpy"|"python"``, see
-    :func:`repro.isl.veceval.resolve_backend`) selects how parametric
+    ``backend`` (``"numpy"|"python"``, see
+    :func:`repro.isl.veceval.check_backend`) selects how parametric
     chamber counts are evaluated over capacity grids; both backends produce
     byte-identical results, NumPy just does it in bulk array ops.
     """
@@ -114,7 +114,7 @@ class CapacityCounter:
         *,
         cardinality_cache=None,
         budget=None,
-        backend: str = "auto",
+        backend: str = "numpy",
     ) -> None:
         self.loop_vars = list(loop_vars)
         self.options = options or CounterOptions()
@@ -122,8 +122,8 @@ class CapacityCounter:
         self.cardinality_cache = cardinality_cache
         #: Optional :class:`repro.isl.work.WorkBudget`, charged per piece.
         self.budget = budget
-        #: Resolved evaluation backend for parametric chamber grids.
-        self.backend = resolve_backend(backend)
+        #: Evaluation backend for parametric chamber grids.
+        self.backend = check_backend(backend)
         # The same distance pieces are counted once per hierarchy level, but
         # the floor-elimination rewrites and the partial-enumeration point
         # expansion do not depend on the capacity — memoize them per piece

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine.cache import CardinalityCache
 from ..isl.counting import CountingError
+from ..isl.veceval import check_backend
 from ..isl.work import BudgetExhausted, WorkBudget, active_budget
 from ..scop.scop import Scop
 from .capacity import CapacityCounter, CounterOptions
@@ -91,11 +92,10 @@ class ModelOptions:
     #: Numeric-evaluation implementation for both pipelines: the trace
     #: fallback / cross-check reference (:mod:`repro.simulator.vectorized`)
     #: and the symbolic curve's bulk chamber evaluation
-    #: (:mod:`repro.isl.veceval`).  ``"numpy"`` (vectorized), ``"python"``
-    #: (reference), or ``"auto"`` (NumPy when installed, honouring
-    #: ``$REPRO_BACKEND``).  Both produce identical :class:`ModelResult`
-    #: payloads.
-    backend: str = "auto"
+    #: (:mod:`repro.isl.veceval`).  ``"numpy"`` (vectorized, default) or
+    #: ``"python"`` (the reference oracle).  Both produce identical
+    #: :class:`ModelResult` payloads.
+    backend: str = "numpy"
     #: Extra cache sizes (in bytes) to include as breakpoints of the
     #: result's :class:`~repro.core.curve.MissCurve` beyond the machine's
     #: hierarchy levels; ``None`` keeps just the hierarchy.  The curve shares
@@ -365,8 +365,6 @@ class CacheModel:
     # Trace-based fallback (exact, but cost proportional to the trace)
     # ------------------------------------------------------------------
     def _analyze_by_trace(self, scop: Scop, *, used_fallback: bool) -> ModelResult:
-        from ..simulator.vectorized import resolve_backend
-
         start = time.perf_counter()
         labels = self.machine.level_labels()
         capacities = self.machine.capacities_in_lines()
@@ -374,7 +372,7 @@ class CacheModel:
         # the per-level counts did, and its suffix sums are the entire miss
         # curve — exact at every capacity, so the fallback answers arbitrary
         # sweeps as cheaply as the hierarchy.
-        if resolve_backend(self.options.backend) == "numpy":
+        if check_backend(self.options.backend) == "numpy":
             from ..simulator.vectorized import trace_model_curve
 
             histogram = trace_model_curve(scop, line_size=self.machine.line_size)

@@ -44,12 +44,12 @@ class JobSpec:
     #: Validate the symbolic result against the trace-based reference
     #: (slow; test/benchmark use).
     cross_check: bool = False
-    #: Concrete-pipeline backend (``"auto"``/``"numpy"``/``"python"``).  A
+    #: Numeric backend (``"numpy"``, default, or the ``"python"`` oracle).  A
     #: run configuration like the store path, not part of the job identity:
     #: both backends produce identical results, so store entries and memo
     #: keys are shared across them (and the store never masks a backend
-    #: divergence because equivalence jobs run store-less).
-    backend: str = field(default="auto", compare=False)
+    #: divergence because the oracle tests run store-less).
+    backend: str = field(default="numpy", compare=False)
     #: Extra miss-curve breakpoints in bytes (see
     #: :attr:`repro.core.model.ModelOptions.curve_capacities`).  Part of the
     #: job identity: the curve rides inside the result payload, so runs with

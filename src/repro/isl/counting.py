@@ -219,7 +219,7 @@ def piecewise_values(
     pieces: Sequence[Piece],
     values,
     *,
-    backend: str = "auto",
+    backend: str = "numpy",
 ) -> Optional[List[int]]:
     """Evaluate a parametric count at a batch of parameter points.
 
@@ -228,7 +228,7 @@ def piecewise_values(
     per-point totals (chambers tested in exact rational arithmetic, counts
     summed where they contain the point), or ``None`` when any containing
     chamber fails to evaluate — the caller's cue to fall back to exact
-    per-point counting.  The NumPy backend (``backend="auto"|"numpy"``)
+    per-point counting.  The NumPy backend (``backend="numpy"``, default)
     evaluates each polynomial over the whole grid in a few scaled-int64
     array ops and is byte-identical to the pure-Python reference; see
     :func:`repro.isl.veceval.evaluate_pieces`.  Charges no work units.

@@ -22,14 +22,12 @@ Exactness contract
     the pure-Python path whenever an intermediate could reach ``2**62``, so
     ``int64`` overflow can never silently wrap.
 
-Backend selection
-    The ``backend`` knob accepts ``"auto" | "numpy" | "python"`` (see
-    :data:`BACKENDS`).  ``"auto"`` resolves through ``$REPRO_BACKEND`` and
-    NumPy availability via :func:`resolve_backend`; requesting ``"numpy"``
-    without NumPy installed raises :class:`BackendUnavailableError`.  This
-    module is the canonical home of the knob — the simulator's
-    :mod:`repro.simulator.vectorized` re-exports it so both the concrete and
-    the symbolic pipelines share one resolution rule.
+Backends
+    The ``backend`` option accepts ``"numpy"`` (the default) or
+    ``"python"``, the scalar reference oracle that tests and bench gates
+    compare against (see :data:`BACKENDS`, :func:`check_backend`).  This
+    module is the one home of that rule; the concrete simulator pipeline
+    uses the same names.
 
 Budget charging
     Evaluation charges **no** work units: the deterministic work budget
@@ -41,105 +39,35 @@ Budget charging
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .constraints import ConstraintSystem
 from .qpoly import Div, QPoly
 
-try:  # pragma: no cover - exercised through resolve_backend()
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
-
 __all__ = [
     "BACKENDS",
-    "BACKEND_ENV",
-    "BackendUnavailableError",
-    "default_backend",
+    "check_backend",
     "eval_qpoly_arrays",
     "evaluate_pieces",
     "evaluate_poly",
-    "numpy_available",
-    "resolve_backend",
-    "validate_backend_env",
 ]
 
-#: Accepted values of the ``backend`` option.
-BACKENDS = ("auto", "numpy", "python")
-
-#: Environment override consulted by ``backend="auto"``.
-BACKEND_ENV = "REPRO_BACKEND"
+#: Accepted values of the ``backend`` option: the NumPy default and the
+#: pure-Python reference oracle.
+BACKENDS = ("numpy", "python")
 
 #: Conservative ceiling for any intermediate of the scaled evaluation; above
 #: this the NumPy path silently defers to the pure-Python reference.
 _INT64_LIMIT = 2**62
 
 
-class BackendUnavailableError(RuntimeError):
-    """An explicitly requested backend cannot run in this environment."""
-
-
-def numpy_available() -> bool:
-    """True when NumPy is importable (the optional ``[numpy]`` extra)."""
-    return _np is not None
-
-
-def default_backend() -> str:
-    """Backend implied by ``"auto"``: ``$REPRO_BACKEND`` or best available."""
-    env = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if env and env != "auto":
-        return env
-    return "numpy" if numpy_available() else "python"
-
-
-def validate_backend_env() -> None:
-    """Fail fast on a bad ``$REPRO_BACKEND`` value.
-
-    Entry points (the CLI and :class:`repro.api.Session`) call this eagerly
-    so a typo in the environment surfaces immediately with the offending
-    value named, instead of leaking through ``backend="auto"`` into a deep
-    :class:`ValueError` the first time a trace runs.
-    """
-    env = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if env and env not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {env!r} in ${BACKEND_ENV} "
-            f"(expected {'|'.join(BACKENDS)})"
-        )
-
-
-def resolve_backend(backend: str = "auto") -> str:
-    """Resolve a backend request to a concrete implementation name.
-
-    ``"auto"`` picks NumPy when it is importable (or whatever
-    ``$REPRO_BACKEND`` names) and silently falls back to the pure-Python
-    reference otherwise; an explicit ``"numpy"`` without NumPy installed is
-    an error so CI equivalence jobs cannot silently test python against
-    python.
-    """
-    name = (backend or "auto").strip().lower()
-    from_env = False
-    if name == "auto":
-        env = os.environ.get(BACKEND_ENV, "").strip().lower()
-        from_env = bool(env) and env != "auto"
-        name = default_backend()
-    if name not in ("numpy", "python"):
-        source = f"{name!r} in ${BACKEND_ENV}" if from_env else repr(backend)
-        raise ValueError(f"unknown backend {source} (expected {'|'.join(BACKENDS)})")
-    if name == "numpy" and not numpy_available():
-        raise BackendUnavailableError(
-            "backend 'numpy' requested but NumPy is not installed; "
-            "install the optional extra (pip install repro-haystack[numpy]) "
-            "or use backend='python'"
-        )
-    return name
-
-
-def _require_numpy():
-    if _np is None:
-        raise BackendUnavailableError("NumPy is required for the vectorized backend")
-    return _np
+def check_backend(backend: str) -> str:
+    """Return ``backend`` if it names a backend; raise :class:`ValueError` otherwise."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r} (expected {'|'.join(BACKENDS)})")
+    return backend
 
 
 _gcd = math.gcd
@@ -155,7 +83,7 @@ def _coefficient_scale(poly: QPoly) -> int:
     return scale
 
 
-def _eval_scaled(poly: QPoly, values: Dict[str, "object"], np) -> Tuple["object", int]:
+def _eval_scaled(poly: QPoly, values: Dict[str, "object"]) -> Tuple["object", int]:
     """``(scale * poly)`` on integer arrays, as ``(int64 array, scale)``.
 
     The scale is the (positive) LCM of the coefficient denominators, so the
@@ -165,18 +93,18 @@ def _eval_scaled(poly: QPoly, values: Dict[str, "object"], np) -> Tuple["object"
     scale = _coefficient_scale(poly)
     total = None
     for monomial, coeff in poly.terms.items():
-        term = _np_full_like_any(values, coeff.numerator * (scale // coeff.denominator), np)
+        term = _np_full_like_any(values, coeff.numerator * (scale // coeff.denominator))
         for sym, exp in monomial:
-            base = _eval_symbol(sym, values, np)
+            base = _eval_symbol(sym, values)
             for _ in range(exp):
                 term = term * base
         total = term if total is None else total + term
     if total is None:
-        total = _np_full_like_any(values, 0, np)
+        total = _np_full_like_any(values, 0)
     return total, scale
 
 
-def eval_qpoly_arrays(poly: QPoly, values: Dict[str, "object"], np=None):
+def eval_qpoly_arrays(poly: QPoly, values: Dict[str, "object"]):
     """Evaluate ``poly`` elementwise on integer arrays, exactly.
 
     Coefficients are Fractions; the whole polynomial is scaled by the LCM of
@@ -187,10 +115,9 @@ def eval_qpoly_arrays(poly: QPoly, values: Dict[str, "object"], np=None):
     Unknown variables raise :class:`KeyError`, like the scalar path.
 
     This is the low-level building block: it assumes the inputs fit int64
-    (callers guard with a magnitude pre-check) and requires NumPy.
+    (callers guard with a magnitude pre-check).
     """
-    np = np or _require_numpy()
-    total, scale = _eval_scaled(poly, values, np)
+    total, scale = _eval_scaled(poly, values)
     if scale != 1:
         quotient, remainder = np.divmod(total, scale)
         if remainder.any():
@@ -199,11 +126,11 @@ def eval_qpoly_arrays(poly: QPoly, values: Dict[str, "object"], np=None):
     return total
 
 
-def _eval_symbol(sym, values: Dict[str, "object"], np):
+def _eval_symbol(sym, values: Dict[str, "object"]):
     if isinstance(sym, Div):
         argument = sym.argument()
         scale = _coefficient_scale(argument)
-        scaled, _ = _eval_scaled(argument * scale, values, np)
+        scaled, _ = _eval_scaled(argument * scale, values)
         return np.floor_divide(scaled, scale * sym.denominator)
     try:
         return values[sym]
@@ -211,7 +138,7 @@ def _eval_symbol(sym, values: Dict[str, "object"], np):
         raise KeyError(f"no value for variable {sym!r}") from None
 
 
-def _np_full_like_any(values: Dict[str, "object"], fill: int, np):
+def _np_full_like_any(values: Dict[str, "object"], fill: int):
     for array in values.values():
         return np.full_like(array, fill)
     return np.asarray([fill], dtype=np.int64)
@@ -271,7 +198,7 @@ def evaluate_poly(
     poly: QPoly,
     values: Mapping[str, Sequence[int]],
     *,
-    backend: str = "auto",
+    backend: str = "numpy",
 ) -> List[int]:
     """Evaluate one polynomial at a batch of integer points.
 
@@ -282,14 +209,13 @@ def evaluate_poly(
     :class:`ValueError` for non-integral values, exactly like the scalar
     reference; charges no work units.
     """
-    resolved = resolve_backend(backend)
+    check_backend(backend)
     length = _check_grid(values)
-    if resolved == "numpy":
+    if backend == "numpy":
         max_abs = {name: max((abs(int(v)) for v in seq), default=0) for name, seq in values.items()}
         if _fits_int64([poly], max_abs):
-            np = _require_numpy()
             arrays = {name: np.asarray(list(seq), dtype=np.int64) for name, seq in values.items()}
-            return [int(v) for v in eval_qpoly_arrays(poly, arrays, np)]
+            return [int(v) for v in eval_qpoly_arrays(poly, arrays)]
     return [poly.evaluate_int({name: seq[k] for name, seq in values.items()}) for k in range(length)]
 
 
@@ -300,7 +226,7 @@ def evaluate_pieces(
     pieces: Sequence[Piece],
     values: Mapping[str, Sequence[int]],
     *,
-    backend: str = "auto",
+    backend: str = "numpy",
 ) -> Optional[List[int]]:
     """Sum a piecewise quasi-polynomial at a batch of integer points.
 
@@ -321,9 +247,9 @@ def evaluate_pieces(
     reference whenever int64 could overflow or an unbound variable makes the
     outcome order-dependent.  Charges no work units.
     """
-    resolved = resolve_backend(backend)
+    check_backend(backend)
     length = _check_grid(values)
-    if resolved == "numpy":
+    if backend == "numpy":
         result = _evaluate_pieces_numpy(pieces, values, length)
         if result is not _DEFER:
             return result
@@ -370,7 +296,6 @@ def _evaluate_pieces_numpy(
     values: Mapping[str, Sequence[int]],
     length: int,
 ):
-    np = _require_numpy()
     max_abs = {name: max((abs(int(v)) for v in seq), default=0) for name, seq in values.items()}
     guarded: List[QPoly] = []
     for domain, polynomial in pieces:
@@ -384,12 +309,12 @@ def _evaluate_pieces_numpy(
         for domain, polynomial in pieces:
             mask = np.ones(length, dtype=bool)
             for constraint in domain.constraints:
-                scaled, _ = _eval_scaled(constraint.expr, arrays, np)
+                scaled, _ = _eval_scaled(constraint.expr, arrays)
                 ok = (scaled == 0) if constraint.kind == "eq" else (scaled >= 0)
                 mask &= ok
             if not mask.any():
                 continue
-            scaled, scale = _eval_scaled(polynomial, arrays, np)
+            scaled, scale = _eval_scaled(polynomial, arrays)
             quotient, remainder = np.divmod(scaled, scale)
             if remainder[mask].any():
                 # A containing chamber's polynomial is non-integral at a

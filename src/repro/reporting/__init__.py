@@ -2,6 +2,7 @@
 
 from .batch import format_batch_summary
 from .bench import compare_reports, format_bench_summary, run_suite, suite_names
+from .equivalence import diff_payloads, normalize, payloads_equal
 from .tables import (
     format_diagnostics,
     format_miss_curve,
@@ -9,17 +10,6 @@ from .tables import (
     format_table,
     geometric_mean,
 )
-
-
-def __getattr__(name):
-    # Lazy re-export: the equivalence module doubles as a ``python -m``
-    # entry point, and importing it eagerly here would make runpy warn about
-    # the double import.
-    if name in ("diff_payloads", "normalize", "payloads_equal"):
-        from . import equivalence
-
-        return getattr(equivalence, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "compare_reports",

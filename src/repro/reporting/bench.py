@@ -185,34 +185,26 @@ def _time_backends(run: Callable[[str], Tuple[Any, float]], rounds: int) -> Tupl
     """Time ``run(backend) -> (result, seconds)`` under both backends.
 
     The pure-Python reference is the slow side and runs once; the NumPy
-    backend (when installed) runs ``rounds`` times and its best run counts.
-    Returns the reference result, the report's timing fields
-    (``python_seconds``, ``numpy_available``, ``numpy_seconds``, ``speedup``,
-    ``results_match``) and the last NumPy result that disagreed with the
-    reference (``None`` when every round agreed).
+    backend runs ``rounds`` times and its best run counts.  Returns the
+    reference result, the report's timing fields (``python_seconds``,
+    ``numpy_seconds``, ``speedup``, ``results_match``) and the last NumPy
+    result that disagreed with the reference (``None`` when every round
+    agreed).
     """
-    from ..isl.veceval import numpy_available
-
     reference, python_seconds = run("python")
-    timing: Dict = {
-        "python_seconds": python_seconds,
-        "numpy_available": numpy_available(),
-        "numpy_seconds": None,
-        "speedup": None,
-        "results_match": True,
-    }
-    disagreement = None
-    if not timing["numpy_available"]:
-        return reference, timing, disagreement
     best = None
+    disagreement = None
     for _ in range(max(1, int(rounds))):
         result, seconds = run("numpy")
         best = seconds if best is None else min(best, seconds)
         if result != reference:
-            timing["results_match"] = False
             disagreement = result
-    timing["numpy_seconds"] = best
-    timing["speedup"] = python_seconds / best if best else None
+    timing: Dict = {
+        "python_seconds": python_seconds,
+        "numpy_seconds": best,
+        "speedup": python_seconds / best if best else None,
+        "results_match": disagreement is None,
+    }
     return reference, timing, disagreement
 
 
@@ -581,7 +573,7 @@ def _run_explore_workload(config: Dict) -> Dict:
     must stay under ``max_cost_ratio`` times the independent sweep.
 
     The ranked table is re-derived with the pure-Python backend and with the
-    NumPy backend (when installed); both must produce a byte-identical
+    NumPy backend; both must produce a byte-identical
     :meth:`~repro.explore.ExploreResult.table_digest` — the determinism half
     of the explore acceptance gate.  The digest also rides into the report
     so :func:`compare_reports` can hold the table stable against the
@@ -589,7 +581,6 @@ def _run_explore_workload(config: Dict) -> Dict:
     """
     from ..api import Session
     from ..scop.schedule import tile_scop
-    from ..simulator import numpy_available
     from ..sweep import log_spaced
 
     size = int(config.get("size", 16))
@@ -623,10 +614,9 @@ def _run_explore_workload(config: Dict) -> Dict:
             independent += 1
     independent_seconds = time.perf_counter() - start
 
-    backends = ["python", "numpy"] if numpy_available() else ["python"]
     backends_match = all(
         grid_session().backend(backend).explore(scop, tiles=tiles, capacities=capacities).table_digest() == digest
-        for backend in backends
+        for backend in ("python", "numpy")
     )
     return {
         "kernel": scop.name,
@@ -642,7 +632,6 @@ def _run_explore_workload(config: Dict) -> Dict:
         "max_cost_ratio": max_cost_ratio,
         "table_digest": digest,
         "backends_match": backends_match,
-        "numpy_available": numpy_available(),
     }
 
 
@@ -730,11 +719,10 @@ def _per_calibration(seconds: Optional[float], report: Dict) -> Optional[float]:
 
 
 def _speedup_text(entry: Dict) -> str:
-    if entry.get("speedup") is None:
-        return f"python {entry.get('python_seconds', 0.0):.3f}s (NumPy not installed; no speedup measured)"
+    speedup = entry.get("speedup")
     return (
         f"python {entry.get('python_seconds', 0.0):.3f}s, numpy {entry.get('numpy_seconds', 0.0):.4f}s "
-        f"({entry['speedup']:.1f}x speedup, floor {entry.get('min_speedup', 0):.0f}x)"
+        f"({'n/a' if speedup is None else f'{speedup:.1f}x'} speedup, floor {entry.get('min_speedup', 0):.0f}x)"
     )
 
 
@@ -974,7 +962,6 @@ def run_suite(
     *,
     jobs: int = 1,
     store_path: Optional[str] = None,
-    backend: str = "auto",
 ) -> Dict:
     """Run one named suite and return the ``BENCH_*.json`` report payload."""
     try:
@@ -984,7 +971,7 @@ def run_suite(
     from ..api import Session, registry
 
     kernels = registry.kernel_names() if config["kernels"] == "all" else list(config["kernels"])
-    session = Session().budget(config["budget"]).workers(jobs).backend(backend)
+    session = Session().budget(config["budget"]).workers(jobs)
     if store_path:
         session.store(store_path)
     request = (

@@ -9,23 +9,16 @@ derived from them (``speedup``, ``sweep_ratio``, ``normalized_wall``),
 which depend on the machine, not on the computation.
 
 :func:`normalize` strips exactly those volatile fields; :func:`diff_payloads`
-reports every remaining difference with its JSON path.  The module doubles
-as a command-line tool for the CI ``backend-equivalence`` job::
-
-    repro-haystack batch --kernels ... --backend python --no-store --output py.json
-    repro-haystack batch --kernels ... --backend numpy  --no-store --output np.json
-    python -m repro.reporting.equivalence py.json np.json
-
-which exits non-zero (and prints the differing paths) on any divergence.
+reports every remaining difference with its JSON path.  The oracle tests
+(``tests/test_backend_equivalence.py``) use them to hold the NumPy engines
+against the pure-Python reference on every registered kernel.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
-__all__ = ["diff_payloads", "main", "normalize"]
+__all__ = ["diff_payloads", "normalize", "payloads_equal"]
 
 #: Keys whose values are wall-clock measurements and therefore differ run to
 #: run; everything else must be byte-identical across backends.
@@ -89,32 +82,3 @@ def diff_payloads(left, right, path: str = "$") -> List[str]:
 def payloads_equal(left, right) -> bool:
     """True when the payloads agree on every deterministic field."""
     return not diff_payloads(normalize(left), normalize(right))
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if len(argv) != 2:
-        print("usage: python -m repro.reporting.equivalence LEFT.json RIGHT.json", file=sys.stderr)
-        return 2
-    payloads: List[Dict] = []
-    for path in argv:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payloads.append(json.load(handle))
-        except (OSError, ValueError) as exc:
-            print(f"cannot read {path}: {exc}", file=sys.stderr)
-            return 2
-    differences = diff_payloads(normalize(payloads[0]), normalize(payloads[1]))
-    if differences:
-        print(f"{len(differences)} deterministic field(s) differ between {argv[0]} and {argv[1]}:")
-        for line in differences[:50]:
-            print(f"  {line}")
-        if len(differences) > 50:
-            print(f"  ... and {len(differences) - 50} more")
-        return 1
-    print(f"{argv[0]} and {argv[1]} are equivalent on all deterministic fields")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

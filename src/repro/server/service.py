@@ -18,10 +18,11 @@ the service safe to share:
 
 * **Admission control** — two shed conditions, both answered with a 429
   body instead of queueing unbounded work: a *global concurrency cap*
-  (``max_inflight`` leaders; waiters are free, they consume no engine
-  slot), and an optional *budget ceiling* (``max_budget``) that rejects
-  requests demanding more symbolic work than the operator allows —
-  including requests asking for an unlimited budget, and lint cost probes.
+  (``max_inflight`` analyze leaders plus running lints; waiters are free,
+  they consume no engine slot), and an optional *budget ceiling*
+  (``max_budget``) that rejects requests demanding more symbolic work than
+  the operator allows — including requests asking for an unlimited budget,
+  and lint cost probes.
   Analyses that name no budget get ``default_budget``.
 
 * **Write-through store** — leaders look up the shared
@@ -58,7 +59,7 @@ from .protocol import (
 
 __all__ = ["AnalysisService"]
 
-#: Default cap on concurrently *executing* jobs (leaders, not waiters).
+#: Default cap on concurrently *executing* jobs (leaders and lints, not waiters).
 DEFAULT_MAX_INFLIGHT = 8
 
 
@@ -93,6 +94,9 @@ class AnalysisService:
         self.max_budget = max_budget
         self.default_budget = default_budget
         self._inflight: Dict[str, asyncio.Future] = {}
+        #: Lints whose worker thread is running; each holds one slot of
+        #: ``max_inflight`` next to the analyze leaders in ``_inflight``.
+        self._running_lints = 0
         self._executor: Optional[ProcessPoolExecutor] = None
         self._started = time.monotonic()
         self._counters = {
@@ -133,12 +137,9 @@ class AnalysisService:
                 result, digest=digest, kernel=kernel, cached=False, coalesced=True
             )
 
-        if len(self._inflight) >= self.max_inflight:
-            self._counters["shed_capacity"] += 1
-            return 429, error_body(
-                f"server is at capacity ({self.max_inflight} jobs in flight); retry later",
-                shed="capacity",
-            )
+        shed = self._capacity_shed()
+        if shed is not None:
+            return 429, shed
 
         # Leader: register the future before the first await, so duplicates
         # arriving during the store lookup coalesce instead of recomputing.
@@ -237,7 +238,9 @@ class AnalysisService:
         :meth:`~repro.verify.VerifyReport.to_payload` JSON comes straight
         back.  The cost probe spends symbolic work like an analysis, so a
         lint that runs it faces the same budget ceiling (429); ``cost:
-        false`` lints are always admitted.  Findings are data, not failures
+        false`` lints skip that check.  Every running lint holds one
+        ``max_inflight`` slot while its thread runs, so lints shed (429)
+        at capacity like analyze leaders.  Findings are data, not failures
         — a kernel full of errors still answers 200; only malformed requests
         (400) and internal faults (500) are non-OK.
         """
@@ -252,6 +255,10 @@ class AnalysisService:
             shed = self._budget_shed(request.budget)
             if shed is not None:
                 return 429, shed
+        shed = self._capacity_shed()
+        if shed is not None:
+            return 429, shed
+        self._running_lints += 1
         try:
             report = await asyncio.to_thread(
                 verify_scop,
@@ -264,7 +271,23 @@ class AnalysisService:
         except Exception as exc:  # noqa: BLE001 - per-request error isolation
             self._counters["errors"] += 1
             return 500, error_body(exc)
+        finally:
+            self._running_lints -= 1
         return 200, report.to_payload()
+
+    def _in_flight(self) -> int:
+        """Occupied ``max_inflight`` slots: analyze leaders plus running lints."""
+        return len(self._inflight) + self._running_lints
+
+    def _capacity_shed(self) -> Optional[Dict]:
+        """A 429 body (counted as ``shed_capacity``) when every slot is taken."""
+        if self._in_flight() < self.max_inflight:
+            return None
+        self._counters["shed_capacity"] += 1
+        return error_body(
+            f"server is at capacity ({self.max_inflight} jobs in flight); retry later",
+            shed="capacity",
+        )
 
     def _budget_shed(self, budget: Optional[int]) -> Optional[Dict]:
         """A 429 body (counted as ``shed_budget``) when ``budget`` work units
@@ -295,7 +318,7 @@ class AnalysisService:
     def stats(self) -> Dict:
         """The ``/stats`` body: service counters plus the shared store's."""
         body = dict(self._counters)
-        body["in_flight"] = len(self._inflight)
+        body["in_flight"] = self._in_flight()
         body["uptime_seconds"] = round(time.monotonic() - self._started, 3)
         body["workers"] = self.workers
         body["max_inflight"] = self.max_inflight
@@ -304,7 +327,7 @@ class AnalysisService:
         return body
 
     def healthz(self) -> Dict:
-        return {"status": "ok", "in_flight": len(self._inflight)}
+        return {"status": "ok", "in_flight": self._in_flight()}
 
     def shutdown(self) -> None:
         if self._executor is not None:

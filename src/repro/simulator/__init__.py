@@ -1,10 +1,9 @@
 """Trace-driven cache simulation substrate (Dinero IV surrogate).
 
-Two interchangeable implementations live here: the per-access reference
-(:mod:`.trace`, :mod:`.lru`, :mod:`.set_assoc`) and the NumPy-vectorized
-fast path (:mod:`.vectorized`), selected by the ``backend`` option
-(``"auto"``/``"numpy"``/``"python"``) and guaranteed to produce identical
-results.
+Two interchangeable implementations live here: the NumPy-vectorized fast
+path (:mod:`.vectorized`, ``backend="numpy"``, the default) and the
+per-access reference oracle (:mod:`.trace`, :mod:`.lru`, :mod:`.set_assoc`,
+``backend="python"``), guaranteed to produce identical results.
 """
 
 from .dinero import DineroResult, DineroSimulator, simulate_scop
@@ -12,18 +11,9 @@ from .hierarchy import CacheHierarchySimulator, CacheLevelConfig
 from .lru import CacheStatistics, FullyAssociativeLRU, StackDistanceProfiler, simulate_fully_associative
 from .set_assoc import ReplacementPolicy, SetAssociativeCache
 from .trace import ArrayLayout, MemoryAccess, TraceGenerator
-from .vectorized import (
-    BACKENDS,
-    BackendUnavailableError,
-    numpy_available,
-    resolve_backend,
-    validate_backend_env,
-)
 
 __all__ = [
     "ArrayLayout",
-    "BACKENDS",
-    "BackendUnavailableError",
     "CacheHierarchySimulator",
     "CacheLevelConfig",
     "CacheStatistics",
@@ -35,9 +25,6 @@ __all__ = [
     "SetAssociativeCache",
     "StackDistanceProfiler",
     "TraceGenerator",
-    "numpy_available",
-    "resolve_backend",
     "simulate_fully_associative",
     "simulate_scop",
-    "validate_backend_env",
 ]

@@ -12,10 +12,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from ..isl.veceval import check_backend
 from ..scop.scop import Scop
 from .hierarchy import CacheHierarchySimulator, CacheLevelConfig
 from .lru import CacheStatistics, StackDistanceProfiler
 from .trace import TraceGenerator
+from .vectorized import simulate_hierarchy_arrays, trace_arrays
 
 __all__ = ["DineroResult", "DineroSimulator", "simulate_scop"]
 
@@ -47,13 +49,11 @@ class DineroResult:
 class DineroSimulator:
     """Trace-driven simulation of a SCoP through a cache hierarchy.
 
-    ``backend`` selects the concrete implementation (see
-    :func:`repro.simulator.vectorized.resolve_backend`): ``"numpy"`` runs
-    the whole pipeline as array operations, ``"python"`` keeps the
-    per-access reference loop, ``"auto"`` (default) prefers NumPy when it is
-    installed.  Every replacement policy vectorizes (tree-PLRU and FIFO via
-    stable set grouping plus per-set replay); only prefetch-enabled levels
-    always run on the reference simulator.
+    ``backend`` selects the concrete implementation: ``"numpy"`` (default)
+    runs the whole pipeline as array operations, ``"python"`` keeps the
+    per-access reference loop.  Every replacement policy vectorizes
+    (tree-PLRU and FIFO via stable set grouping plus per-set replay); only
+    prefetch-enabled levels always run on the reference simulator.
     """
 
     def __init__(
@@ -61,11 +61,11 @@ class DineroSimulator:
         levels: Sequence[CacheLevelConfig],
         *,
         padded_layout: bool = True,
-        backend: str = "auto",
+        backend: str = "numpy",
     ) -> None:
         self.levels = list(levels)
         self.padded_layout = padded_layout
-        self.backend = backend
+        self.backend = check_backend(backend)
 
     def _vectorizable(self) -> bool:
         """True when no level enables a prefetcher (so the vectorized pass
@@ -74,14 +74,10 @@ class DineroSimulator:
         return all(not getattr(config, "prefetch_degree", 0) for config in self.levels)
 
     def run(self, scop: Scop) -> DineroResult:
-        from .vectorized import resolve_backend
-
         start = time.perf_counter()
         line_size = self.levels[0].line_size
         stats = None
-        if resolve_backend(self.backend) == "numpy" and self._vectorizable():
-            from .vectorized import simulate_hierarchy_arrays, trace_arrays
-
+        if self.backend == "numpy" and self._vectorizable():
             trace = trace_arrays(scop, line_size=line_size, padded=self.padded_layout)
             stats = simulate_hierarchy_arrays(trace, self.levels)
             accesses = len(trace)

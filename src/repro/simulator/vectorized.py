@@ -37,11 +37,6 @@ hierarchy's end-of-run flush convention.  Only prefetch-enabled levels
 (:attr:`CacheLevelConfig.prefetch_degree`) stay on the reference
 implementation — prefetches perturb replacement state mid-trace in a way no
 offline pass expresses.
-
-NumPy is an optional extra: :func:`resolve_backend` decides between the
-``"numpy"`` and ``"python"`` implementations, honouring the
-``REPRO_BACKEND`` environment variable and falling back automatically when
-NumPy is not installed.
 """
 
 from __future__ import annotations
@@ -49,47 +44,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..isl.veceval import (
-    BACKENDS,
-    BACKEND_ENV,
-    BackendUnavailableError,
-    _np_full_like_any,
-    _require_numpy,
-    default_backend,
-    eval_qpoly_arrays as _eval_qpoly,
-    numpy_available,
-    resolve_backend,
-    validate_backend_env,
-)
+import numpy as np
+
+from ..isl.veceval import _np_full_like_any, eval_qpoly_arrays as _eval_qpoly
 from ..scop.scop import Scop, Statement
 from .lru import CacheStatistics
 from .trace import ArrayLayout
 
 __all__ = [
-    "BACKENDS",
-    "BACKEND_ENV",
-    "BackendUnavailableError",
     "TraceArrays",
-    "default_backend",
     "distance_histogram",
     "fully_associative_stats",
     "misses_for_capacity",
-    "numpy_available",
-    "resolve_backend",
     "set_associative_policy_stats",
     "set_associative_stats",
     "simulate_hierarchy_arrays",
     "stack_distances",
     "trace_arrays",
     "trace_model_curve",
-    "validate_backend_env",
 ]
 
 
 # ----------------------------------------------------------------------
 # Vectorized domain enumeration and trace generation
 # ----------------------------------------------------------------------
-def _enumerate_statement(statement: Statement, np) -> Dict[str, "object"]:
+def _enumerate_statement(statement: Statement) -> Dict[str, "object"]:
     """Integer points of the iteration domain as parallel index arrays.
 
     The points come back in lexicographic order of ``statement.loop_vars``,
@@ -114,7 +93,7 @@ def _enumerate_statement(statement: Statement, np) -> Dict[str, "object"]:
     values = {name: grid.reshape(-1) for name, grid in zip(names, grids)}
     keep = None
     for constraint in domain.constraints:
-        evaluated = _eval_qpoly(constraint.expr, values, np)
+        evaluated = _eval_qpoly(constraint.expr, values)
         ok = (evaluated == 0) if constraint.kind == "eq" else (evaluated >= 0)
         keep = ok if keep is None else (keep & ok)
     if keep is not None and not keep.all():
@@ -140,7 +119,6 @@ class TraceArrays:
         return int(self.addresses.shape[0])
 
     def line_indices(self, line_size: Optional[int] = None) -> "object":
-        np = _require_numpy()
         return np.floor_divide(self.addresses, line_size or self.line_size)
 
 
@@ -152,14 +130,13 @@ def trace_arrays(scop: Scop, *, line_size: int = 64, padded: bool = True) -> Tra
     tie-breaking on statement order and lexicographic instance order, and one
     access per array reference in program order within each instance.
     """
-    np = _require_numpy()
     layout = ArrayLayout(scop, line_size=line_size, padded=padded)
     schedule_length = scop.schedule_length()
 
     per_statement: List[Tuple[Statement, Dict[str, "object"], int]] = []
     counts: List[int] = []
     for statement in scop.statements:
-        values = _enumerate_statement(statement, np)
+        values = _enumerate_statement(statement)
         if "__count" in values:
             count = values["__count"]
             values = {}
@@ -183,7 +160,7 @@ def trace_arrays(scop: Scop, *, line_size: int = 64, padded: bool = True) -> Tra
             if expr.is_constant():
                 keys[block, position] = int(expr.constant_value())
             else:
-                keys[block, position] = _eval_qpoly(expr, values, np)
+                keys[block, position] = _eval_qpoly(expr, values)
         offset += count
 
     # Stable lexicographic sort on the schedule vectors: np.lexsort's last
@@ -214,8 +191,8 @@ def trace_arrays(scop: Scop, *, line_size: int = 64, padded: bool = True) -> Tra
             strides = layout.strides[array.name]
             offsets = None
             for dim, expr in enumerate(ref.indices):
-                index = _eval_qpoly(expr, values, np) if values else _np_full_like_any(values, int(expr.constant_value()), np)
-                _check_bounds(index, array, dim, statement.name, np)
+                index = _eval_qpoly(expr, values) if values else _np_full_like_any(values, int(expr.constant_value()))
+                _check_bounds(index, array, dim, statement.name)
                 contribution = index * int(strides[dim])
                 offsets = contribution if offsets is None else offsets + contribution
             if offsets is None:
@@ -228,7 +205,7 @@ def trace_arrays(scop: Scop, *, line_size: int = 64, padded: bool = True) -> Tra
     return TraceArrays(addresses=addresses, sizes=sizes, is_write=writes, layout=layout, line_size=line_size)
 
 
-def _check_bounds(index, array, dim: int, statement: str, np) -> None:
+def _check_bounds(index, array, dim: int, statement: str) -> None:
     extent = array.shape[dim]
     bad = (index < 0) | (index >= extent)
     if bad.any():
@@ -242,7 +219,7 @@ def _check_bounds(index, array, dim: int, statement: str, np) -> None:
 # ----------------------------------------------------------------------
 # Vectorized Bennett-Kruskal stack distances
 # ----------------------------------------------------------------------
-def _previous_occurrence(lines, np):
+def _previous_occurrence(lines):
     """``prev[t]`` = index of the previous access to ``lines[t]`` or ``-1``."""
     n = lines.shape[0]
     order = np.argsort(lines, kind="stable")
@@ -254,7 +231,7 @@ def _previous_occurrence(lines, np):
     return prev
 
 
-def _count_greater_before(values, np):
+def _count_greater_before(values):
     """``out[t] = #{s < t : values[s] > values[t]}`` by bottom-up merging.
 
     A classic inversion count, evaluated level by level: at block size ``b``
@@ -305,13 +282,12 @@ def stack_distances(lines) -> "object":
     occurrence ``p`` is the number of distinct lines in ``(p, t)`` plus one,
     i.e. ``(t - p)`` minus the number of reuse edges fully inside ``(p, t)``.
     """
-    np = _require_numpy()
     lines = np.asarray(lines, dtype=np.int64)
     n = lines.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    prev = _previous_occurrence(lines, np)
-    inversions = _count_greater_before(prev, np)
+    prev = _previous_occurrence(lines)
+    inversions = _count_greater_before(prev)
     t = np.arange(n, dtype=np.int64)
     distances = (t - prev) - inversions
     distances[prev < 0] = -1
@@ -320,7 +296,6 @@ def stack_distances(lines) -> "object":
 
 def distance_histogram(lines) -> Dict[Optional[int], int]:
     """Stack-distance histogram with the reference ``None`` bucket."""
-    np = _require_numpy()
     distances = stack_distances(lines)
     result: Dict[Optional[int], int] = {}
     values, counts = np.unique(distances, return_counts=True)
@@ -341,7 +316,7 @@ def _misses_from_distances(distances, capacity_lines: int) -> Tuple[int, int]:
     return compulsory, capacity
 
 
-def _count_writebacks(lines, distances, is_write, capacity_lines: int, np) -> int:
+def _count_writebacks(lines, distances, is_write, capacity_lines: int) -> int:
     """LRU write-backs over this trace, end-of-run flush included.
 
     Every miss starts a new residency period of its line (the line was not
@@ -374,14 +349,11 @@ def fully_associative_stats(
         raise ValueError("cache and line size must be positive")
     if cache_size % line_size:
         raise ValueError("cache size must be a multiple of the line size")
-    np = _require_numpy()
     lines = np.asarray(lines, dtype=np.int64)
     distances = stack_distances(lines)
     stats = _stats_from_distances(distances, cache_size // line_size, conflict=False)
     if is_write is not None:
-        stats.writebacks = _count_writebacks(
-            lines, distances, is_write, cache_size // line_size, np
-        )
+        stats.writebacks = _count_writebacks(lines, distances, is_write, cache_size // line_size)
     return stats
 
 
@@ -402,7 +374,6 @@ def set_associative_stats(
     sort, so no reuse window spans a foreign set).  ``is_write`` fills in
     ``writebacks`` exactly like :func:`fully_associative_stats`.
     """
-    np = _require_numpy()
     if cache_size % (line_size * associativity):
         raise ValueError("cache size must be a multiple of line size * associativity")
     lines = np.asarray(lines, dtype=np.int64)
@@ -413,7 +384,7 @@ def set_associative_stats(
     stats = _stats_from_distances(distances, associativity, conflict=True)
     if is_write is not None:
         writes = np.asarray(is_write, dtype=bool)[order]
-        stats.writebacks = _count_writebacks(grouped, distances, writes, associativity, np)
+        stats.writebacks = _count_writebacks(grouped, distances, writes, associativity)
     return stats
 
 
@@ -443,7 +414,6 @@ def set_associative_policy_stats(
 
     if policy not in (ReplacementPolicy.FIFO, ReplacementPolicy.TREE_PLRU):
         raise ValueError(f"unsupported replacement policy {policy!r}")
-    np = _require_numpy()
     if cache_size % (line_size * associativity):
         raise ValueError("cache size must be a multiple of line size * associativity")
     lines = np.asarray(lines, dtype=np.int64)

@@ -1,50 +1,52 @@
-"""`ModelResult` equivalence between the numpy and python backends.
+"""Oracle tests: the NumPy engines against the pure-Python reference.
 
-The acceptance bar of the vectorized backend: across the PolyBench smoke
-sweep, ``backend="numpy"`` must produce a ``to_dict`` payload byte-identical
-to ``backend="python"`` on every deterministic field (wall-clock
-``*_seconds`` entries are the only permitted difference, stripped by
-:func:`repro.reporting.equivalence.normalize`).
+``backend="numpy"`` (the default) and ``backend="python"`` (the reference
+loops) must agree on every registered kernel at ``mini``: the trace-derived
+:class:`ModelResult` payload, miss curve included, is byte-identical on
+every deterministic field (wall-clock ``*_seconds`` entries are the only
+permitted difference, stripped by
+:func:`repro.reporting.equivalence.normalize`), and the trace simulator
+reports identical per-level statistics.
 """
 
 import pytest
 
-from repro.api import Session
+from repro.api import Session, registry
 from repro.api.session import SessionConfigError
 from repro.reporting.equivalence import diff_payloads, normalize, payloads_equal
-from repro.simulator import numpy_available
+from repro.simulator import CacheLevelConfig, DineroSimulator
 
-#: The bench smoke sweep: small enough for the test suite, wide enough to
-#: cover init statements, triangular domains, and multi-statement kernels.
-SMOKE_KERNELS = ("gemm", "atax", "bicg", "mvt", "trisolv", "jacobi-1d")
-
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
+KERNELS = registry.kernel_names()
 
 
-def _analyze(kernel: str, backend: str):
-    # A small budget trips the symbolic pipeline quickly; the result is the
-    # exact trace fallback, which is precisely the code path that differs
-    # between the two backends.
-    session = (
-        Session()
-        .machine((32 * 1024, 256 * 1024))
-        .budget(500)
-        .backend(backend)
-        .no_store()
-    )
-    return session.analyze(kernel, "mini")
-
-
-@needs_numpy
-@pytest.mark.parametrize("kernel", SMOKE_KERNELS)
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_smoke_sweep_backends_byte_identical(kernel):
-    python_payload = _analyze(kernel, "python").to_dict()
-    numpy_payload = _analyze(kernel, "numpy").to_dict()
+    """The trace-fallback payload of every registered kernel at ``mini``."""
+    scop = registry.get_kernel(kernel).build("mini")
+    python_payload, numpy_payload = (
+        Session().backend(backend).no_store().cache_model().analyze_by_trace(scop).to_dict()
+        for backend in ("python", "numpy")
+    )
+    assert python_payload["miss_curve"]["exact"]
     differences = diff_payloads(normalize(python_payload), normalize(numpy_payload))
     assert not differences, differences
-    # The budgeted smoke sweep actually exercises the trace fallback — the
-    # code path the backends implement differently.
-    assert python_payload["used_fallback"]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_dinero_backends_identical(kernel):
+    """An 8-way 32 KiB L1 over a fully associative 256 KiB L2."""
+    scop = registry.get_kernel(kernel).build("mini")
+    levels = [
+        CacheLevelConfig(cache_size=32 * 1024, line_size=64, associativity=8),
+        CacheLevelConfig(cache_size=256 * 1024, line_size=64, associativity=None),
+    ]
+    python_result, numpy_result = (
+        DineroSimulator(levels, backend=backend).run(scop) for backend in ("python", "numpy")
+    )
+    assert python_result.accesses == numpy_result.accesses > 0
+    assert [stats.as_dict() for stats in python_result.levels] == [
+        stats.as_dict() for stats in numpy_result.levels
+    ]
 
 
 def _transpose_scop(n=10, m=9):
@@ -59,7 +61,6 @@ def _transpose_scop(n=10, m=9):
     return builder.build()
 
 
-@needs_numpy
 def test_cross_check_runs_on_the_vectorized_reference():
     """cross_check compares the symbolic result against the backend's trace
     reference; with the numpy backend it must still pass (same counts)."""
@@ -69,8 +70,9 @@ def test_cross_check_runs_on_the_vectorized_reference():
 
 
 def test_session_rejects_unknown_backend():
-    with pytest.raises(SessionConfigError):
-        Session().backend("fortran")
+    for name in ("fortran", "auto"):
+        with pytest.raises(SessionConfigError, match=r"expected numpy\|python"):
+            Session().backend(name)
 
 
 def test_session_backend_threads_into_options_and_specs():
@@ -129,17 +131,3 @@ def test_diff_payloads_reports_paths():
     assert "$.a[1]: 2 != 3" in differences
     assert "$.b: only in right" in differences
 
-
-def test_equivalence_cli_tool(tmp_path, capsys):
-    from repro.reporting.equivalence import main
-
-    left = tmp_path / "left.json"
-    right = tmp_path / "right.json"
-    left.write_text('{"misses": 3, "elapsed_seconds": 0.5}')
-    right.write_text('{"misses": 3, "elapsed_seconds": 0.9}')
-    assert main([str(left), str(right)]) == 0
-    right.write_text('{"misses": 4, "elapsed_seconds": 0.9}')
-    assert main([str(left), str(right)]) == 1
-    assert "$.misses" in capsys.readouterr().out
-    assert main([str(left)]) == 2
-    assert main([str(left), str(tmp_path / "missing.json")]) == 2

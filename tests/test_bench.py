@@ -27,7 +27,6 @@ CLEAN_ENTRIES = {
         "accesses": 11368,
         "misses": [100, 50],
         "python_seconds": 0.5,
-        "numpy_available": True,
         "numpy_seconds": 0.01,
         "speedup": 50.0,
         "results_match": True,
@@ -51,7 +50,6 @@ CLEAN_ENTRIES = {
         "points": 1024,
         "python_seconds": 0.7,
         "totals_sha256": "abc123",
-        "numpy_available": True,
         "numpy_seconds": 0.02,
         "speedup": 35.0,
         "results_match": True,
@@ -94,7 +92,6 @@ CLEAN_ENTRIES = {
         "max_cost_ratio": 0.25,
         "table_digest": "abc123",
         "backends_match": True,
-        "numpy_available": True,
     },
 }
 
@@ -253,10 +250,7 @@ class TestTraceWorkload:
         assert trace["accesses"] > 0 and len(trace["misses"]) == 2
         assert trace["python_seconds"] > 0
         assert trace["results_match"] is True
-        if trace["numpy_available"]:
-            assert trace["numpy_seconds"] > 0 and trace["speedup"] > 0
-        else:
-            assert trace["speedup"] is None
+        assert trace["numpy_seconds"] > 0 and trace["speedup"] > 0
 
     def test_clean_trace_workload_passes(self):
         report = self._report(self._trace_entry())
@@ -282,12 +276,6 @@ class TestTraceWorkload:
         baseline = self._report(self._trace_entry(speedup=60.0))
         regressions = compare_reports(current, baseline, check_wall=False)
         assert any("collapsed" in r for r in regressions)
-
-    def test_no_numpy_skips_the_speedup_gate(self):
-        current = self._report(
-            self._trace_entry(numpy_available=False, numpy_seconds=None, speedup=None)
-        )
-        assert compare_reports(current, self._report(self._trace_entry()), check_wall=False) == []
 
     def test_missing_trace_workload_is_flagged(self):
         current = self._report(None)
@@ -402,10 +390,7 @@ class TestSymbolicWorkload:
         assert symbolic["python_seconds"] > 0
         assert symbolic["results_match"] is True
         assert symbolic["totals_sha256"]
-        if symbolic["numpy_available"]:
-            assert symbolic["numpy_seconds"] > 0 and symbolic["speedup"] > 0
-        else:
-            assert symbolic["speedup"] is None
+        assert symbolic["numpy_seconds"] > 0 and symbolic["speedup"] > 0
 
     def test_clean_symbolic_workload_passes(self):
         report = self._report(self._symbolic_entry())
@@ -431,12 +416,6 @@ class TestSymbolicWorkload:
         baseline = self._report(self._symbolic_entry(speedup=40.0))
         regressions = compare_reports(current, baseline, check_wall=False)
         assert any("collapsed" in r for r in regressions)
-
-    def test_no_numpy_skips_the_speedup_gate(self):
-        current = self._report(
-            self._symbolic_entry(numpy_available=False, numpy_seconds=None, speedup=None)
-        )
-        assert compare_reports(current, self._report(self._symbolic_entry()), check_wall=False) == []
 
     def test_missing_symbolic_workload_is_flagged(self):
         current = self._report(None)

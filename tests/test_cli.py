@@ -372,7 +372,7 @@ class TestUsageErrors:
         [
             (["simulate", "trisolv", "--associativity", "3"], "multiple of line size * associativity"),
             (["simulate", "trisolv", "--l1", "100"], "multiple of the line size"),
-            (["simulate", "trisolv", "--l1", "100", "--backend", "python"], "multiple of the line size"),
+            (["simulate", "trisolv", "--l2", "65000"], "multiple of the line size"),
             (["compare", "trisolv", "--l1", "100", *FAST, "--no-store"], "multiple of the line size"),
             (["compare", "trisolv", "--associativity", "3", *FAST, "--no-store"], "line size * associativity"),
         ],
@@ -384,6 +384,17 @@ class TestUsageErrors:
         # One line, and no fallback warning: the model never started.
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["model", "gemm"], ["simulate", "gemm"], ["curve", "gemm"], ["batch", "--kernels", "gemm"], ["bench"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_backend_is_not_an_option(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend numpy" in capsys.readouterr().err
 
     def test_serve_port_out_of_range(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -240,6 +240,42 @@ class TestAdmission:
         assert leader_status == 200
         assert service.stats()["shed_capacity"] == 1
 
+    def test_running_lints_hold_capacity_slots(self, monkeypatch):
+        import repro.verify
+
+        worker = _CountingWorker(gated=True)
+        monkeypatch.setattr(service_module, "_execute_job", worker)
+        lint_started, lint_release = threading.Event(), threading.Event()
+
+        def blocking_verify(*args, **kwargs):
+            lint_started.set()
+            assert lint_release.wait(timeout=30.0)
+            return types.SimpleNamespace(to_payload=lambda: {"blocked": True})
+
+        monkeypatch.setattr(repro.verify, "verify_scop", blocking_verify)
+        service = AnalysisService(workers=0, max_inflight=2)
+
+        async def drive():
+            leader = asyncio.ensure_future(service.analyze({"kernel": "gemm", "budget": 2000}))
+            await asyncio.to_thread(worker.started.wait, 10.0)
+            lint = asyncio.ensure_future(service.lint({"kernel": "gemm", "cost": False}))
+            await asyncio.to_thread(lint_started.wait, 10.0)
+            full = service.stats()["in_flight"]
+            shed = [
+                await service.lint({"kernel": "atax", "cost": False}),
+                await service.analyze({"kernel": "atax", "budget": 2000}),
+            ]
+            lint_release.set()
+            worker.release.set()
+            return full, shed, await lint, await leader
+
+        full, shed, lint, leader = asyncio.run(drive())
+        assert full == 2
+        assert [(status, body["shed"]) for status, body in shed] == [(429, "capacity")] * 2
+        assert lint == (200, {"blocked": True}) and leader[0] == 200
+        stats = service.stats()
+        assert stats["shed_capacity"] == 2 and stats["in_flight"] == 0
+
     def test_constructor_validates_configuration(self, tmp_path):
         with pytest.raises(ValueError):
             AnalysisService(workers=-1)

@@ -17,15 +17,13 @@ from hypothesis import given, settings, strategies as st
 from repro.isl import ConstraintSystem, count_points, eq, floor_div, ge, variable
 from repro.isl.qpoly import QPoly
 from repro.isl.veceval import (
+    BACKENDS,
     _INT64_LIMIT,
     _fits_int64,
     _peak_bound,
     evaluate_pieces,
     evaluate_poly,
-    numpy_available,
 )
-
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
 
 VARS = ("i", "j")
 
@@ -71,7 +69,6 @@ def scalar_values(poly, values):
 
 
 class TestEvaluatePoly:
-    @needs_numpy
     @given(int_polys(), grids)
     @settings(max_examples=120, deadline=None)
     def test_numpy_matches_scalar_reference(self, poly, values):
@@ -86,18 +83,18 @@ class TestEvaluatePoly:
         poly = (i * i + i) * Fraction(1, 2)
         grid = {"i": list(range(-20, 21))}
         expected = [n * (n + 1) // 2 for n in range(-20, 21)]
-        for backend in ("python", "numpy") if numpy_available() else ("python",):
+        for backend in BACKENDS:
             assert evaluate_poly(poly, grid, backend=backend) == expected
 
     def test_non_integral_value_raises_on_both_backends(self):
         poly = variable("i") * Fraction(1, 2)
-        for backend in ("python", "numpy") if numpy_available() else ("python",):
+        for backend in BACKENDS:
             with pytest.raises(ValueError):
                 evaluate_poly(poly, {"i": [2, 3]}, backend=backend)
 
     def test_unbound_variable_raises_on_both_backends(self):
         poly = variable("i") + variable("missing")
-        for backend in ("python", "numpy") if numpy_available() else ("python",):
+        for backend in BACKENDS:
             with pytest.raises(KeyError):
                 evaluate_poly(poly, {"i": [1]}, backend=backend)
 
@@ -107,7 +104,6 @@ class TestEvaluatePoly:
         with pytest.raises(ValueError):
             evaluate_poly(variable("i"), {"i": [1, 2], "j": [1]}, backend="python")
 
-    @needs_numpy
     def test_overflow_defers_to_python_and_stays_exact(self):
         # i**4 at |i| ~ 2**16 would overflow the scaled int64 product chain's
         # conservative bound; the numpy backend must fall back and still
@@ -122,7 +118,6 @@ class TestEvaluatePoly:
             big**4,
         ]
 
-    @needs_numpy
     def test_small_magnitudes_use_int64(self):
         assert _fits_int64([variable("i") * variable("j")], {"i": 10**6, "j": 10**6})
 
@@ -146,7 +141,6 @@ def chamber_pieces(draw):
 
 
 class TestEvaluatePieces:
-    @needs_numpy
     @given(chamber_pieces(), grids)
     @settings(max_examples=120, deadline=None)
     def test_numpy_matches_python_walk(self, pieces, values):
@@ -154,14 +148,14 @@ class TestEvaluatePieces:
         assert evaluate_pieces(pieces, values, backend="numpy") == reference
 
     def test_empty_pieces_sum_to_zero(self):
-        for backend in ("python", "numpy") if numpy_available() else ("python",):
+        for backend in BACKENDS:
             assert evaluate_pieces([], {"n": [1, 5, 9]}, backend=backend) == [0, 0, 0]
 
     def test_non_integral_member_polynomial_returns_none(self):
         # The chamber contains the point and its polynomial is non-integral
         # there: both backends must give up identically.
         pieces = [(ConstraintSystem([ge(variable("n"), 0)]), variable("n") * Fraction(1, 2))]
-        for backend in ("python", "numpy") if numpy_available() else ("python",):
+        for backend in BACKENDS:
             assert evaluate_pieces(pieces, {"n": [2, 3]}, backend=backend) is None
 
     def test_parametric_count_points_round_trip(self):
@@ -171,5 +165,5 @@ class TestEvaluatePieces:
         chambers = count_points(system, ["i"])
         grid = {"n": list(range(0, 30))}
         expected = list(range(0, 30))
-        for backend in ("python", "numpy") if numpy_available() else ("python",):
+        for backend in BACKENDS:
             assert evaluate_pieces(chambers, grid, backend=backend) == expected

@@ -6,12 +6,11 @@ stack distances, histograms, fully associative and set-associative (LRU)
 statistics, and the hierarchy simulation behind :class:`DineroSimulator`.
 """
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
-
 from hypothesis import given, settings, strategies as st
 
+from repro.isl.veceval import check_backend
 from repro.scop import ScopBuilder
 from repro.scop.schedule import tile_scop
 from repro.simulator import (
@@ -22,11 +21,9 @@ from repro.simulator import (
     SetAssociativeCache,
     StackDistanceProfiler,
     TraceGenerator,
-    resolve_backend,
     simulate_fully_associative,
 )
 from repro.simulator.vectorized import (
-    BackendUnavailableError,
     distance_histogram,
     fully_associative_stats,
     misses_for_capacity,
@@ -39,35 +36,16 @@ line_traces = st.lists(st.integers(min_value=0, max_value=24), min_size=0, max_s
 
 
 # ----------------------------------------------------------------------
-# Backend resolution
+# Backend names
 # ----------------------------------------------------------------------
-def test_resolve_backend_auto_prefers_numpy():
-    assert resolve_backend("auto") in ("numpy", "python")
-    assert resolve_backend("numpy") == "numpy"
-    assert resolve_backend("python") == "python"
-
-
-def test_resolve_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        resolve_backend("fortran")
-
-
-def test_resolve_backend_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "python")
-    assert resolve_backend("auto") == "python"
-    # An explicit request always wins over the environment.
-    assert resolve_backend("numpy") == "numpy"
-
-
-def test_backend_unavailable_error_without_numpy(monkeypatch):
-    # The backend knob lives in repro.isl.veceval; the simulator re-exports it.
-    from repro.isl import veceval
-    from repro.simulator import vectorized
-
-    monkeypatch.setattr(veceval, "_np", None)
-    with pytest.raises(BackendUnavailableError):
-        vectorized.resolve_backend("numpy")
-    assert vectorized.resolve_backend("auto") == "python"
+def test_check_backend_rejects_unknown():
+    assert check_backend("numpy") == "numpy"
+    assert check_backend("python") == "python"
+    for name in ("fortran", "auto", "NumPy", ""):
+        with pytest.raises(ValueError, match=r"expected numpy\|python"):
+            check_backend(name)
+        with pytest.raises(ValueError):
+            DineroSimulator([CacheLevelConfig(cache_size=1024, line_size=64)], backend=name)
 
 
 # ----------------------------------------------------------------------
