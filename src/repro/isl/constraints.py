@@ -11,7 +11,8 @@ The module provides the operations the cache model pipeline needs:
 * substitution,
 * rational Fourier-Motzkin elimination (with an exactness certificate for the
   cases where the integer projection coincides with the rational one),
-* rational feasibility checks used to prune empty pieces,
+* feasibility checks used to prune empty pieces (Fourier-Motzkin on integer
+  rows, with the gcd tightening of each inequality),
 * bound extraction for a variable (used by symbolic counting and by the
   parametric lexicographic optimisation), and
 * explicit enumeration of integer points (test oracle and partial-enumeration
@@ -20,12 +21,13 @@ The module provides the operations the cache model pipeline needs:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .qpoly import Div, QPoly, floor_div
+from .qpoly import Div, QPoly, Symbol, floor_div
 from .work import charge as _charge_work
 
 __all__ = [
@@ -106,16 +108,16 @@ class Constraint:
         denominators = [c.denominator for c in coeffs.values()] + [const.denominator]
         lcm = 1
         for d in denominators:
-            lcm = lcm * d // _gcd(lcm, d)
+            lcm = lcm * d // math.gcd(lcm, d)
         scaled = {sym: c * lcm for sym, c in coeffs.items()}
         scaled_const = const * lcm
         gcd = 0
         for c in scaled.values():
-            gcd = _gcd(gcd, abs(c.numerator))
+            gcd = math.gcd(gcd, abs(c.numerator))
         if gcd > 1:
             scaled = {sym: Fraction(c.numerator // gcd) for sym, c in scaled.items()}
             if self.kind == INEQ:
-                scaled_const = Fraction(_floor_div_int(scaled_const.numerator, gcd * scaled_const.denominator))
+                scaled_const = Fraction(scaled_const.numerator // (gcd * scaled_const.denominator))
             else:
                 if scaled_const.numerator % gcd:
                     # Equality with non-divisible constant: keep as is; the
@@ -129,15 +131,6 @@ class Constraint:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         op = "=" if self.kind == EQ else ">="
         return f"{self.expr} {op} 0"
-
-
-#: Alias so call sites read the same as before; ``math.gcd`` is C-implemented
-#: and sits on the constraint-normalisation hot path.
-_gcd = math.gcd
-
-
-def _floor_div_int(numerator: int, denominator: int) -> int:
-    return numerator // denominator
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +308,7 @@ class ConstraintSystem:
             rewritten = ConstraintSystem()
             for constraint in system.constraints:
                 rewritten.add(Constraint(_replace_div(constraint.expr, div, replacement), constraint.kind))
-            argument = _replace_div_in_poly_arguments(div.argument(), mapping)
+            argument = div.argument()
             rewritten.add(ge(argument - QPoly.variable(var) * div.denominator, 0))
             rewritten.add(le(argument - QPoly.variable(var) * div.denominator, div.denominator - 1))
             system = rewritten
@@ -339,14 +332,6 @@ def _replace_div(poly: QPoly, div: Div, replacement: QPoly) -> QPoly:
                 factor = factor * base
         result = result + factor
     return result
-
-
-def _replace_div_in_poly_arguments(poly: QPoly, mapping: Dict[str, Div]) -> QPoly:
-    # Arguments of previously expanded divs may nest; with the small
-    # denominators used by the cache model this is rare, so we keep the
-    # arguments as-is.  The defining constraints added by ``expand_divs``
-    # reference the argument polynomial directly.
-    return poly
 
 
 # ----------------------------------------------------------------------
@@ -489,14 +474,23 @@ def substitute_equalities(system: ConstraintSystem, names: Sequence[str]) -> Tup
 
 _FEASIBILITY_CACHE: Dict[frozenset, bool] = {}
 
+#: Fourier-Motzkin gives up (answers "maybe feasible") past this many rows.
+_MAX_ROWS = 600
+
 
 def feasible_rational(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
     """Sound emptiness pruning: ``False`` means definitely integer-empty.
 
-    All free variables (including divs, which are expanded) are treated as
-    rational unknowns and eliminated by Fourier-Motzkin.  The test
-    over-approximates integer feasibility, which is the safe direction for
-    pruning pieces.  Results are memoised on the canonical constraint set.
+    Decides rational feasibility with per-row gcd tightening.  Every div is
+    renamed to a fresh variable bounded by its two defining rows, the system
+    becomes integer rows, and Fourier-Motzkin eliminates every variable,
+    substituting equalities first.  Each derived inequality is divided by
+    the gcd of its variable coefficients with its constant floored, which
+    keeps every integer point, so ``False`` is a proof of integer emptiness
+    and ``True`` may be a rationally feasible but integer-empty system: the
+    safe direction for pruning pieces.  Systems with more than ``max_vars``
+    variables, or whose elimination grows past 600 rows, answer ``True``.
+    Results are memoised on the canonical constraint set.
     """
     if system.has_trivially_false():
         return False
@@ -514,60 +508,219 @@ def feasible_rational(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
 
 
 def _feasible_rational_uncached(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
-    names = sorted(n for n in system.variables())
-    expanded, fresh, _ = system.expand_divs(names)
-    all_names = list(expanded.variables())
-    if len(all_names) > max_vars:
+    columns, rows, _ = _integer_rows(system)
+    remaining = [j for j, col in enumerate(columns) if isinstance(col, str)]
+    if len(remaining) > max_vars:
         return True
-    current = expanded
-    while all_names:
-        # Greedy minimum-degree ordering keeps the Fourier-Motzkin blow-up low.
-        occurrences = {
-            name: sum(1 for c in current.constraints if c.expr.coefficient(name)) for name in all_names
-        }
-        name = min(all_names, key=lambda n: (occurrences[n], n))
-        all_names.remove(name)
-        current = _fm_eliminate_rational(current, name)
-        if current.has_trivially_false():
+    while remaining and rows:
+        # Greedy minimum-degree ordering keeps the Fourier-Motzkin blow-up low;
+        # columns are sorted by name, so the index breaks ties by name.
+        occurrences = [len(rows) - column.count(0) for column in zip(*(row[1] for row in rows))]
+        j = min(remaining, key=lambda j: (occurrences[j], j))
+        remaining.remove(j)
+        eliminated = _eliminate(rows, j)
+        if eliminated is None:
             return False
-        if len(current) > 600:
+        rows = eliminated
+        if len(rows) > _MAX_ROWS:
             return True
-    return not current.has_trivially_false()
+    return True
 
 
-def _fm_eliminate_rational(system: ConstraintSystem, name: str) -> ConstraintSystem:
-    lowers: List[Tuple[QPoly, int]] = []
-    uppers: List[Tuple[QPoly, int]] = []
-    rest: List[Constraint] = []
-    equalities: List[Tuple[QPoly, Fraction]] = []
-    for constraint in system.constraints:
-        expr = constraint.expr
-        coeff = expr.coefficient(name)
-        if not coeff or expr.degree_in_divs(name):
-            rest.append(constraint)
-            continue
-        remainder = expr - QPoly.variable(name) * coeff
-        if constraint.kind == EQ:
-            equalities.append((remainder, coeff))
-        elif coeff > 0:
-            lowers.append((-remainder, coeff.numerator))
-        else:
-            uppers.append((remainder, -coeff.numerator))
-    if equalities:
-        remainder, coeff = equalities[0]
-        value = remainder * (Fraction(-1) / coeff)
-        substitution = {name: value}
-        new_system = ConstraintSystem()
-        for constraint in system.constraints:
-            if constraint.expr.coefficient(name) == coeff and constraint.kind == EQ and constraint.expr - QPoly.variable(name) * coeff == remainder:
+# ----------------------------------------------------------------------
+# Integer rows
+# ----------------------------------------------------------------------
+#: ``(is_eq, coefficients, constant)``: ``coefficients . columns + constant``
+#: compared against zero (``== 0`` or ``>= 0``), all plain ints.
+Row = Tuple[bool, Tuple[int, ...], int]
+
+
+class _RowSet:
+    """Rows in insertion order, normalised and deduplicated like :meth:`ConstraintSystem.add`.
+
+    An inequality is divided by the gcd of its variable coefficients with its
+    constant floored, and only the tightest inequality per coefficient
+    direction is kept, in the position of the first one.  An equality is
+    divided by that gcd when the gcd divides its constant; otherwise it keeps
+    the smallest integral multiple of the rational row it stands for.
+    """
+
+    __slots__ = ("rows", "_ineqs", "_eqs")
+
+    def __init__(self) -> None:
+        self.rows: List[Row] = []
+        self._ineqs: Dict[Tuple[int, ...], int] = {}
+        self._eqs: set = set()
+
+    def add(self, is_eq: bool, coeffs: Tuple[int, ...], const: int, scale: int = 1) -> bool:
+        """Add ``coeffs . x + const`` (``scale`` times the rational row); ``False`` if it contradicts."""
+        g = math.gcd(*coeffs)
+        if not g:
+            return const == 0 if is_eq else const >= 0
+        if is_eq:
+            if const % g:
+                # Integer-empty but rationally satisfiable.  Like
+                # :meth:`Constraint.normalized`, keep the smallest integral
+                # multiple of the rational row: divide out only ``scale``.
+                g = math.gcd(g, const, scale)
+            if g > 1:
+                coeffs = tuple(c // g for c in coeffs)
+                const //= g
+            key = (coeffs, const)
+            if key not in self._eqs:
+                self._eqs.add(key)
+                self.rows.append((True, coeffs, const))
+            return True
+        if g > 1:
+            coeffs = tuple(c // g for c in coeffs)
+            const //= g
+        index = self._ineqs.get(coeffs)
+        if index is None:
+            self._ineqs[coeffs] = len(self.rows)
+            self.rows.append((False, coeffs, const))
+        elif self.rows[index][2] > const:
+            self.rows[index] = (False, coeffs, const)
+        return True
+
+
+def _eliminate(rows: List[Row], j: int, *, drop_contradictions: bool = False) -> Optional[List[Row]]:
+    """Rational Fourier-Motzkin elimination of column ``j``.
+
+    The first equality mentioning the column is substituted into every other
+    row; without one, every lower bound is paired with every upper bound.
+    Returns ``None`` as soon as a row reduces to a false constant, unless
+    ``drop_contradictions`` asks to skip such rows and go on.
+    """
+    out = _RowSet()
+    pivot = next((row for row in rows if row[0] and row[1][j]), None)
+    if pivot is not None:
+        _, pivot_coeffs, pivot_const = pivot
+        c = pivot_coeffs[j]
+        scale = abs(c)
+        for row in rows:
+            if row is pivot:
                 continue
-            new_system.add(constraint.substitute(substitution))
-        return new_system
-    out = ConstraintSystem(rest)
-    for low_expr, low_coeff in lowers:
-        for up_expr, up_coeff in uppers:
-            out.add(ge(up_expr * low_coeff - low_expr * up_coeff, 0))
-    return out
+            is_eq, coeffs, const = row
+            a = coeffs[j]
+            if a:
+                # scale * (row - a/c * pivot): integral, column j cancels.
+                f = a if c > 0 else -a
+                coeffs = tuple(scale * x - f * y for x, y in zip(coeffs, pivot_coeffs))
+                const = scale * const - f * pivot_const
+                ok = out.add(is_eq, coeffs, const, scale)
+            else:
+                ok = out.add(is_eq, coeffs, const)
+            if not ok and not drop_contradictions:
+                return None
+        return out.rows
+    lowers: List[Row] = []
+    uppers: List[Row] = []
+    for row in rows:
+        a = row[1][j]
+        if not a:
+            out.add(*row)
+        elif a > 0:
+            lowers.append(row)
+        else:
+            uppers.append(row)
+    for _, low, low_const in lowers:
+        a = low[j]
+        for _, up, up_const in uppers:
+            b = -up[j]
+            coeffs = tuple(a * x + b * y for x, y in zip(up, low))
+            if not out.add(False, coeffs, a * up_const + b * low_const) and not drop_contradictions:
+                return None
+    return out.rows
+
+
+def _integer_rows(
+    system: ConstraintSystem, names: Optional[Iterable[str]] = None
+) -> Tuple[List[Union[str, int]], List[Row], List[str]]:
+    """The system as integer rows over a fixed column order.
+
+    Every div whose argument mentions one of ``names`` (any variable when
+    ``names`` is ``None``) becomes a fresh column ``__q0, __q1, ...``, in
+    :meth:`ConstraintSystem.expand_divs` order, bounded by its two defining
+    rows; the div is linear in its row, so that is a rename.  Columns are the
+    variables sorted by name, then an int token per div left in place.
+    Returns the columns, the rows and the fresh names.
+    """
+    name_set = None if names is None else set(names)
+    # Divs are keyed by int tokens while they sit in the rows.  Renaming
+    # retires a token: a copy of the same div surfacing later (nested in
+    # another div's argument) is a new div, as in ``expand_divs``.
+    tokens: Dict[Div, int] = {}
+    divs: List[Div] = []
+
+    def key(sym: Symbol) -> Union[str, int]:
+        if isinstance(sym, str):
+            return sym
+        token = tokens.get(sym)
+        if token is None:
+            token = tokens[sym] = len(divs)
+            divs.append(sym)
+        return token
+
+    # Ordered {column: coefficient} rows; stored constraints are normalised,
+    # so every coefficient and constant is integral.
+    sparse: List[Tuple[bool, Dict[Union[str, int], int], int]] = []
+    for constraint in system.constraints:
+        coeffs: Dict[Union[str, int], int] = {}
+        const = 0
+        for monomial, value in constraint.expr.terms.items():
+            if monomial:
+                coeffs[key(monomial[0][0])] = value.numerator
+            else:
+                const = value.numerator
+        sparse.append((constraint.kind == EQ, coeffs, const))
+    fresh: List[str] = []
+    kept: set = set()
+    while True:
+        token = next(
+            (k for _, coeffs, _ in sparse for k in coeffs if isinstance(k, int) and k not in kept),
+            None,
+        )
+        if token is None:
+            break
+        div = divs[token]
+        argument = div.argument()
+        variables = argument.free_variables()
+        if not (variables if name_set is None else variables & name_set):
+            kept.add(token)
+            continue
+        del tokens[div]
+        var = f"__q{len(fresh)}"
+        fresh.append(var)
+        for index, (is_eq, coeffs, const) in enumerate(sparse):
+            if token in coeffs:
+                sparse[index] = (is_eq, {var if k == token else k: c for k, c in coeffs.items()}, const)
+        # argument - d*var >= 0 and d - 1 - argument + d*var >= 0, scaled to
+        # integers; divs nested in the argument surface here.
+        arg_coeffs, arg_const = argument.affine_coefficients()
+        lcm = math.lcm(arg_const.denominator, *(c.denominator for c in arg_coeffs.values()))
+        d = div.denominator
+        low = {key(sym): (c * lcm).numerator for sym, c in arg_coeffs.items()}
+        low[var] = -d * lcm
+        low_const = (arg_const * lcm).numerator
+        high = {k: -c for k, c in low.items()}
+        for coeffs, const in ((low, low_const), (high, (d - 1) * lcm - low_const)):
+            g = math.gcd(*coeffs.values())
+            coeffs = {k: c // g for k, c in coeffs.items()}
+            const //= g
+            index = next(
+                (i for i, (is_eq, other, _) in enumerate(sparse) if not is_eq and other == coeffs),
+                None,
+            )
+            if index is None:
+                sparse.append((False, coeffs, const))
+            elif sparse[index][2] > const:
+                sparse[index] = (False, coeffs, const)
+    used = dict.fromkeys(k for _, coeffs, _ in sparse for k in coeffs)
+    columns: List[Union[str, int]] = sorted(k for k in used if isinstance(k, str))
+    columns += [k for k in used if not isinstance(k, str)]
+    zeros = itertools.repeat(0)
+    rows = [(is_eq, tuple(map(coeffs.get, columns, zeros)), const) for is_eq, coeffs, const in sparse]
+    return columns, rows, fresh
 
 
 # ----------------------------------------------------------------------
@@ -580,32 +733,30 @@ def variable_range(system: ConstraintSystem, name: str, others: Sequence[str]) -
     constraints for each candidate point.  Raises :class:`UnboundedSetError`
     if no finite bound exists.
     """
-    expanded, fresh, _ = system.expand_divs(list(others) + [name])
-    current = expanded
+    columns, rows, fresh = _integer_rows(system, list(others) + [name])
+    index = {col: j for j, col in enumerate(columns)}
     for other in list(others) + fresh:
-        current = _fm_eliminate_rational(current, other)
-    lower: Optional[Fraction] = None
-    upper: Optional[Fraction] = None
-    for constraint in current.constraints:
-        coeff = constraint.expr.coefficient(name)
-        if not coeff:
+        if other in index:
+            rows = _eliminate(rows, index[other], drop_contradictions=True)
+    lower: Optional[int] = None
+    upper: Optional[int] = None
+    j = index.get(name)
+    for is_eq, coeffs, const in rows:
+        # Only rows a*name + const (== or >=) 0 bound ``name`` by a number.
+        a = coeffs[j] if j is not None else 0
+        if not a or coeffs.count(0) != len(coeffs) - 1:
             continue
-        remainder = constraint.expr - QPoly.variable(name) * coeff
-        if not remainder.is_constant():
-            continue
-        value = -remainder.constant_value() / coeff
-        if constraint.kind == EQ:
-            lower = value if lower is None else max(lower, value)
-            upper = value if upper is None else min(upper, value)
-        elif coeff > 0:
-            lower = value if lower is None else max(lower, value)
-        else:
-            upper = value if upper is None else min(upper, value)
+        if is_eq and a < 0:
+            a, const = -a, -const
+        if a > 0:
+            low = -(const // a)
+            lower = low if lower is None else max(lower, low)
+        if is_eq or a < 0:
+            high = -const // a if a > 0 else const // -a
+            upper = high if upper is None else min(upper, high)
     if lower is None or upper is None:
         raise UnboundedSetError(f"variable {name} is not bounded")
-    import math
-
-    return math.ceil(lower), math.floor(upper)
+    return lower, upper
 
 
 def enumerate_points(system: ConstraintSystem, names: Sequence[str]) -> Iterator[Dict[str, int]]:
