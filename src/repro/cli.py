@@ -445,9 +445,7 @@ def _analyze_for_cli(args, session: Session, scop):
             print(f"symbolic analysis failed and fallback is disabled: {exc}", file=sys.stderr)
             return None, 3
         _warn_fallback(args, exc)
-        result = model.analyze_by_trace(scop)
-        result.timing.work_units_charged = getattr(exc, "work_units_charged", 0)
-        return result, 0
+        return model.analyze_by_trace(scop, failed=exc), 0
 
 
 def _model_result_with_store(args, session: Session, scop) -> Tuple[Optional[ModelResult], bool, int]:

@@ -19,6 +19,7 @@ from ..isl.constraints import ConstraintSystem, enumerate_points, ge
 from ..isl.counting import CountingError, Piece, cardinality, count_points, piecewise_values
 from ..isl.qpoly import Div, QPoly
 from ..isl.veceval import check_backend
+from ..isl.work import charge
 from .distance import DistancePiece
 from .elimination import equalize, rasterize
 from .prevmap import ModelFallbackRequired
@@ -91,11 +92,12 @@ class CapacityCounter:
     parametric chambers internally (keyed by piece identity), so asking for
     several capacities or grids reuses the capacity-independent work.
 
-    ``budget`` (a :class:`~repro.isl.work.WorkBudget`) is charged one unit
-    per piece visited by :meth:`count_misses`/:meth:`count_curve`; the
-    symbolic primitives underneath (feasibility checks, counting recursion)
-    charge the process-global active budget themselves.  Charges depend only
-    on the pieces and options — never on cache warmth or the ``backend``.
+    Every piece visited by :meth:`count_misses`/:meth:`count_curve` charges
+    one unit to the active work budget (:func:`repro.isl.work.charge`), as
+    do the symbolic primitives underneath (feasibility checks, counting
+    recursion).  The budget is scoped to the calling thread or task context.
+    Charges depend only on the pieces and options — never on cache warmth or
+    the ``backend``.
 
     ``backend`` (``"numpy"|"python"``, see
     :func:`repro.isl.veceval.check_backend`) selects how parametric
@@ -113,15 +115,12 @@ class CapacityCounter:
         options: Optional[CounterOptions] = None,
         *,
         cardinality_cache=None,
-        budget=None,
         backend: str = "numpy",
     ) -> None:
         self.loop_vars = list(loop_vars)
         self.options = options or CounterOptions()
         self.stats = CapacityCountStats()
         self.cardinality_cache = cardinality_cache
-        #: Optional :class:`repro.isl.work.WorkBudget`, charged per piece.
-        self.budget = budget
         #: Evaluation backend for parametric chamber grids.
         self.backend = check_backend(backend)
         # The same distance pieces are counted once per hierarchy level, but
@@ -188,8 +187,7 @@ class CapacityCounter:
     # Algorithm 1
     # ------------------------------------------------------------------
     def _count_piece(self, piece: DistancePiece, capacity_lines: int) -> int:
-        if self.budget is not None:
-            self.budget.charge()
+        charge()
         self.stats.pieces_counted += 1
         polynomial = piece.polynomial
         if polynomial.is_constant():
@@ -244,8 +242,7 @@ class CapacityCounter:
     # Curve construction (Algorithm 1 along the whole capacity axis)
     # ------------------------------------------------------------------
     def _curve_piece(self, piece: DistancePiece, grid: List[int], totals: List[int]) -> None:
-        if self.budget is not None:
-            self.budget.charge()
+        charge()
         self.stats.pieces_counted += 1
         polynomial = piece.polynomial
         if polynomial.is_constant():

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["CacheLevelSpec", "MachineModel", "KIB", "MIB"]
@@ -80,6 +80,3 @@ class MachineModel:
 
     def level_labels(self) -> List[str]:
         return [level.label(index) for index, level in enumerate(self.levels)]
-
-    def with_levels(self, num_levels: int) -> "MachineModel":
-        return replace(self, levels=self.levels[:num_levels])

@@ -31,6 +31,7 @@ from typing import Dict, List, Sequence, Tuple
 from ..isl.constraints import ConstraintSystem
 from ..isl.counting import CountingError, count_points
 from ..isl.qpoly import QPoly
+from ..isl.work import charge
 from ..scop.scop import Scop
 from .prevmap import ModelFallbackRequired, PrevMapBuilder, PrevRegion
 from .refs import AccessInstance, rename_map
@@ -67,16 +68,17 @@ class AccessDistances:
 
 
 class StackDistanceAnalysis:
-    """Computes the symbolic stack distances of every access of a SCoP."""
+    """Computes the symbolic stack distances of every access of a SCoP.
 
-    def __init__(self, scop: Scop, *, line_size: int = 64, budget=None) -> None:
+    Charges the active work budget (:func:`repro.isl.work.charge`, scoped to
+    the calling thread or task context) per reuse-window system and per
+    accumulation step, so heavy kernels trip a deterministic fallback.
+    """
+
+    def __init__(self, scop: Scop, *, line_size: int = 64) -> None:
         self.scop = scop
         self.line_size = line_size
-        #: Optional :class:`repro.isl.work.WorkBudget` shared with the
-        #: previous-access map; charged per reuse-window system so heavy
-        #: kernels trip a deterministic fallback.
-        self.budget = budget
-        self.prev_builder = PrevMapBuilder(scop, line_size=line_size, budget=budget)
+        self.prev_builder = PrevMapBuilder(scop, line_size=line_size)
         self.schedule_length = scop.schedule_length()
         #: Wall-clock seconds spent in the stack-distance phase (Figure 11).
         self.elapsed_seconds: float = 0.0
@@ -147,8 +149,7 @@ class StackDistanceAnalysis:
                 for lower in lower_disjuncts:
                     for upper in upper_disjuncts:
                         for first_touch in first_touch_disjuncts:
-                            if self.budget is not None:
-                                self.budget.charge()
+                            charge()
                             system = region.domain.conjoin(witness_domain)
                             system = system.conjoin(witness_piece_domain)
                             for constraint in lower + upper + first_touch:
@@ -180,8 +181,7 @@ class StackDistanceAnalysis:
             extra = [c for c in domain.constraints if _constraint_key(c) not in base_keys]
             updated: List[Tuple[ConstraintSystem, QPoly]] = []
             for piece_domain, piece_poly in pieces:
-                if self.budget is not None:
-                    self.budget.charge()
+                charge()
                 if not extra:
                     updated.append((piece_domain, piece_poly + polynomial))
                     continue

@@ -140,34 +140,32 @@ class CacheModel:
         analysis work is spent.
         """
         self._preflight(scop)
-        budget = WorkBudget(self.options.symbolic_work_budget)
         try:
-            with active_budget(budget):
-                result = self._analyze_symbolic_under_budget(scop, budget)
+            result = self._symbolic_attempt(scop)
         except (ModelFallbackRequired, BudgetExhausted) as exc:
-            # Callers that disable the built-in fallback (the CLI warns the
-            # user before starting the trace) still want the symbolic cost of
-            # the failed attempt.
-            exc.work_units_charged = budget.used
             if not self.options.fallback_to_simulation:
                 raise
-            result = self._analyze_by_trace(scop, used_fallback=True)
-            # Record the symbolic work spent before the pipeline gave up, so
-            # bench reports see the true deterministic cost of the attempt.
-            result.timing.work_units_charged = budget.used
+            result = self.analyze_by_trace(scop, failed=exc)
         if self.options.cross_check:
             self._cross_check(scop, result)
         return result
 
-    def analyze_by_trace(self, scop: Scop) -> ModelResult:
+    def analyze_by_trace(self, scop: Scop, *, failed: Optional[Exception] = None) -> ModelResult:
         """Exact trace-based analysis (the fallback path), flagged as such.
 
         Callers that want to react to a failed symbolic run *before* the
         (potentially long) trace enumeration starts — e.g. the CLI, which
         warns the user first — disable ``fallback_to_simulation``, catch the
-        failure and invoke this method explicitly.
+        failure and invoke this method explicitly.  Passing the caught
+        exception as ``failed`` books the failed attempt on the result: its
+        work units in ``work_units_charged`` and its seconds in
+        ``other_seconds``, next to the trace's own.
         """
-        return self._analyze_by_trace(scop, used_fallback=True)
+        result = self._analyze_by_trace(scop, used_fallback=True)
+        if failed is not None:
+            result.timing.work_units_charged = getattr(failed, "work_units_charged", 0)
+            result.timing.other_seconds += getattr(failed, "attempt_seconds", 0.0)
+        return result
 
     def symbolic_probe(self, scop: Scop) -> "SymbolicProbe":
         """Run only the symbolic phase and report its deterministic cost.
@@ -181,17 +179,36 @@ class CacheModel:
         budget, and its trip/no-trip outcome is, by construction, the
         outcome a real analysis under the same options would see.
         """
-        budget = WorkBudget(self.options.symbolic_work_budget)
         try:
-            with active_budget(budget):
-                result = self._analyze_symbolic_under_budget(scop, budget)
-        except BudgetExhausted:
-            return SymbolicProbe(outcome="budget", work_units=budget.used, result=None)
+            result = self._symbolic_attempt(scop)
+        except BudgetExhausted as exc:
+            return SymbolicProbe(outcome="budget", work_units=exc.work_units_charged)
         except ModelFallbackRequired as exc:
             return SymbolicProbe(
-                outcome="fallback", work_units=budget.used, result=None, reason=str(exc)
+                outcome="fallback", work_units=exc.work_units_charged, reason=str(exc)
             )
-        return SymbolicProbe(outcome="ok", work_units=budget.used, result=result)
+        return SymbolicProbe(outcome="ok", work_units=result.timing.work_units_charged, result=result)
+
+    def _symbolic_attempt(self, scop: Scop) -> ModelResult:
+        """Run the symbolic pipeline under a fresh budget of the configured size.
+
+        The budget is active only in the calling thread or task context
+        (:func:`repro.isl.work.active_budget`), so concurrent analyses never
+        charge each other.  The result's ``work_units_charged`` is the
+        budget's count; a failed attempt re-raises with
+        ``work_units_charged`` and ``attempt_seconds`` set on the exception.
+        """
+        budget = WorkBudget(self.options.symbolic_work_budget)
+        start = time.perf_counter()
+        try:
+            with active_budget(budget):
+                result = self._analyze_symbolic(scop)
+        except (ModelFallbackRequired, BudgetExhausted) as exc:
+            exc.work_units_charged = budget.used
+            exc.attempt_seconds = time.perf_counter() - start
+            raise
+        result.timing.work_units_charged = budget.used
+        return result
 
     def _preflight(self, scop: Scop) -> None:
         """Static verification gate controlled by :attr:`ModelOptions.verify`."""
@@ -236,9 +253,9 @@ class CacheModel:
             grid.add(max(1, int(size) // self.machine.line_size))
         return sorted(grid)
 
-    def _analyze_symbolic_under_budget(self, scop: Scop, budget: WorkBudget) -> ModelResult:
+    def _analyze_symbolic(self, scop: Scop) -> ModelResult:
         line_size = self.machine.line_size
-        analysis = StackDistanceAnalysis(scop, line_size=line_size, budget=budget)
+        analysis = StackDistanceAnalysis(scop, line_size=line_size)
         distances = analysis.analyze()
 
         capacity_start = time.perf_counter()
@@ -280,7 +297,6 @@ class CacheModel:
                 statement.loop_vars,
                 self.options.counter_options(),
                 cardinality_cache=cardinality_cache,
-                budget=budget,
                 backend=self.options.backend,
             )
             access_curve = counter.count_curve(access_distances.pieces, grid)
@@ -322,7 +338,6 @@ class CacheModel:
             store_hits=getattr(cardinality_cache, "store_hits", 0),
             store_misses=getattr(cardinality_cache, "store_misses", 0),
             store_invalidations=store.stats().invalidations if store is not None else 0,
-            work_units_charged=budget.used,
         )
         return ModelResult(
             kernel=scop.name,
@@ -397,8 +412,7 @@ class CacheModel:
                     capacity=miss_curve.misses_at(capacities[index]),
                 )
             )
-        elapsed = time.perf_counter() - start
-        timing = TimingBreakdown(stack_distance_seconds=elapsed, capacity_seconds=0.0)
+        timing = TimingBreakdown(other_seconds=time.perf_counter() - start)
         return ModelResult(
             kernel=scop.name,
             level_results=level_results,

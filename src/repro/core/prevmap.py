@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from ..isl.constraints import ConstraintSystem, UnboundedSetError, eq
 from ..isl.lexopt import LexOptError, lexmax
 from ..isl.qpoly import QPoly
+from ..isl.work import charge
 from ..scop.scop import Scop
 from .refs import AccessInstance, all_access_instances
 from .regions import feasible, lex_compare_exprs, lex_order_disjuncts, subtract
@@ -62,18 +63,20 @@ class PrevRegion:
 
 
 class PrevMapBuilder:
-    """Builds and caches previous-access maps for all accesses of a SCoP."""
+    """Builds and caches previous-access maps for all accesses of a SCoP.
 
-    def __init__(self, scop: Scop, *, line_size: int = 64, budget=None) -> None:
+    Charges the active work budget (:func:`repro.isl.work.charge`, scoped to
+    the calling thread or task context) per candidate disjunct and per
+    region merge, so runaway kernels trip a deterministic fallback instead of
+    running unbounded.
+    """
+
+    def __init__(self, scop: Scop, *, line_size: int = 64) -> None:
         self.scop = scop
         self.line_size = line_size
         self.schedule_length = scop.schedule_length()
         self.accesses = all_access_instances(scop)
         self._cache: Dict[Tuple[str, int], List[PrevRegion]] = {}
-        #: Optional :class:`repro.isl.work.WorkBudget`; charged per
-        #: candidate disjunct and per region merge so runaway kernels trip a
-        #: deterministic fallback instead of running unbounded.
-        self.budget = budget
 
     # ------------------------------------------------------------------
     # Public API
@@ -114,8 +117,7 @@ class PrevMapBuilder:
         target_schedule = target.schedule_exprs(length)
         candidates: List[PrevCandidate] = []
         for disjunct in lex_order_disjuncts(source_schedule, target_schedule, strict=True):
-            if self.budget is not None:
-                self.budget.charge()
+            charge()
             system = base.conjoin(disjunct)
             if not feasible(system):
                 continue
@@ -150,8 +152,7 @@ class PrevMapBuilder:
     def _merge_candidate(self, regions: List[PrevRegion], candidate: PrevCandidate) -> List[PrevRegion]:
         updated: List[PrevRegion] = []
         for region in regions:
-            if self.budget is not None:
-                self.budget.charge()
+            charge()
             overlap = region.domain.conjoin(candidate.domain)
             if not feasible(overlap):
                 updated.append(region)

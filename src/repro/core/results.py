@@ -123,6 +123,11 @@ class TimingBreakdown:
     ``work_units_charged`` is the deterministic symbolic work consumed (see
     :class:`repro.isl.work.WorkBudget`) — a machine-independent cost metric
     the bench harness compares across runs.
+
+    A fallback result (``used_fallback``) books the whole job in
+    ``other_seconds``: the failed symbolic attempt plus the trace.  Its
+    ``stack_distance_seconds`` and ``capacity_seconds`` stay 0, and
+    ``total_seconds`` still covers the job.
     """
 
     stack_distance_seconds: float = 0.0

@@ -431,14 +431,6 @@ def fm_eliminate(system: ConstraintSystem, name: str, *, require_exact: bool = F
     return out
 
 
-def fm_project(system: ConstraintSystem, eliminate: Sequence[str], *, require_exact: bool = False) -> ConstraintSystem:
-    """Eliminate several variables (innermost last in ``eliminate`` first)."""
-    result = system
-    for name in reversed(list(eliminate)):
-        result = fm_eliminate(result, name, require_exact=require_exact)
-    return result
-
-
 def substitute_equalities(system: ConstraintSystem, names: Sequence[str]) -> Tuple[ConstraintSystem, Dict[str, QPoly]]:
     """Use unit-coefficient equalities to substitute out variables in ``names``.
 

@@ -170,14 +170,6 @@ class QPoly:
             best = max(best, deg)
         return best
 
-    def degree_in(self, name: Symbol) -> int:
-        best = 0
-        for monomial in self.terms:
-            for sym, exp in monomial:
-                if sym == name:
-                    best = max(best, exp)
-        return best
-
     def is_affine(self) -> bool:
         """True if every monomial has total degree <= 1 (divs count as deg 1).
 

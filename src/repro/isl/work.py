@@ -17,13 +17,16 @@ of a batch, which keeps parallel results byte-identical to sequential ones.
 The budget is activated per analysis job via :func:`active_budget`; the
 primitives call the module-level :func:`charge`, which is a no-op when no
 budget is active (the default, and the library behaviour).  The active
-budget is process-global state: one analysis per process at a time, which
-matches both the CLI and the batch engine's worker processes.
+budget lives in a :class:`contextvars.ContextVar`, so it is scoped to the
+calling thread or task context: analyses running at the same time in
+different threads (``asyncio.to_thread`` copies the caller's context) each
+charge only their own budget.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Optional
 
 __all__ = ["BudgetExhausted", "WorkBudget", "active_budget", "charge"]
@@ -60,23 +63,21 @@ class WorkBudget:
         return f"WorkBudget(used={self.used}, limit={self.limit})"
 
 
-_ACTIVE: Optional[WorkBudget] = None
+_ACTIVE: ContextVar[Optional[WorkBudget]] = ContextVar("repro_work_budget", default=None)
 
 
 def charge(amount: int = 1) -> None:
     """Charge the active budget, if any (hot path: cheap no-op otherwise)."""
-    budget = _ACTIVE
+    budget = _ACTIVE.get()
     if budget is not None:
         budget.charge(amount)
 
 
 @contextmanager
 def active_budget(budget: Optional[WorkBudget]) -> Iterator[Optional[WorkBudget]]:
-    """Make ``budget`` the active budget for the duration of the block."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = budget
+    """Make ``budget`` the active budget of this context for the block."""
+    token = _ACTIVE.set(budget)
     try:
         yield budget
     finally:
-        _ACTIVE = previous
+        _ACTIVE.reset(token)

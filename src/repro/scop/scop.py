@@ -87,12 +87,6 @@ class Array:
         padded_inner = ((inner + elements_per_line - 1) // elements_per_line) * elements_per_line
         return self.shape[:-1] + (padded_inner,)
 
-    def size_bytes(self, line_size: int) -> int:
-        total = 1
-        for extent in self.padded_shape(line_size):
-            total *= extent
-        return total * self.element_size
-
 
 @dataclass(frozen=True)
 class AccessRef:
@@ -213,9 +207,6 @@ class Scop:
         """Common schedule length (statement schedules are zero-padded)."""
         return max((len(s.schedule) for s in self.statements), default=0)
 
-    def max_loop_depth(self) -> int:
-        return max((len(s.loop_vars) for s in self.statements), default=0)
-
     def all_accesses(self) -> List[Tuple[Statement, int, AccessRef]]:
         """All (statement, access position, reference) triples in order."""
         out: List[Tuple[Statement, int, AccessRef]] = []
@@ -235,10 +226,6 @@ class Scop:
 
     def total_instances(self) -> int:
         return sum(statement.instance_count() for statement in self.statements)
-
-    def footprint_bytes(self, line_size: int = 64) -> int:
-        """Total padded data footprint of all arrays in bytes."""
-        return sum(array.size_bytes(line_size) for array in self.arrays.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Scop({self.name!r}, {len(self.statements)} statements, {len(self.arrays)} arrays)"

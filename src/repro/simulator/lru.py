@@ -50,10 +50,6 @@ class CacheStatistics:
     def miss_ratio(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
     def as_dict(self) -> Dict[str, int]:
         return {
             "accesses": self.accesses,

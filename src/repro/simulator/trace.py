@@ -57,15 +57,11 @@ class ArrayLayout:
             strides = _row_major_strides(shape)
             self.strides[array.name] = strides
             cursor += _product(shape) * array.element_size
-        self._total_bytes = cursor
 
     def address(self, array: Array, indices: Tuple[int, ...]) -> int:
         strides = self.strides[array.name]
         offset = sum(index * stride for index, stride in zip(indices, strides))
         return self.base[array.name] + offset * array.element_size
-
-    def total_bytes(self) -> int:
-        return self._total_bytes
 
 
 def _align(value: int, alignment: int) -> int:
@@ -129,9 +125,6 @@ class TraceGenerator:
         line = self.layout.line_size
         for access in self.accesses():
             yield access.address // line
-
-    def access_count(self) -> int:
-        return sum(1 for _ in self.accesses())
 
 
 def _check_in_bounds(array: Array, indices: Tuple[int, ...], statement: str) -> None:

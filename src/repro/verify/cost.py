@@ -14,9 +14,10 @@ being predicted, via :meth:`repro.core.model.CacheModel.symbolic_probe`.
 * Because charges are deterministic, the probe's trip/no-trip outcome *is*
   the outcome the real analysis will see under the same options — the
   prediction cannot diverge from reality.
-* The metering budget is private to the probe (scoped with
-  :func:`repro.isl.work.active_budget`), so estimating cost never charges
-  an enclosing analysis.
+* The metering budget is private to the probe: it is scoped to the calling
+  thread or task context (:func:`repro.isl.work.active_budget`), so
+  estimating cost never charges an enclosing analysis or a probe running
+  in another thread.
 """
 
 from __future__ import annotations

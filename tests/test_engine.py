@@ -1,12 +1,17 @@
 """Batch engine, cardinality cache, and work-budget behaviour."""
 
+import asyncio
+import sys
+
 import pytest
+from test_model_vs_simulator import build_copy_kernel, build_stencil_1d
 
 from repro.core import CacheLevelSpec, CacheModel, MachineModel, ModelOptions
 from repro.core.results import ModelResult
 from repro.engine import BatchEngine, BatchResult, CardinalityCache, JobSpec, expand_matrix
 from repro.isl.constraints import ConstraintSystem, ge, le
 from repro.isl.work import BudgetExhausted, WorkBudget
+from repro.reporting.equivalence import normalize
 from repro.scop import ScopBuilder
 
 LINE = 64
@@ -194,3 +199,51 @@ class TestWorkBudget:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             WorkBudget(0)
+
+    def test_fallback_books_attempt_and_trace_in_other_seconds(self):
+        options = ModelOptions(symbolic_work_budget=50)
+        result = CacheModel(_machine((1024,)), options).analyze(_trisum(12))
+        assert result.used_fallback
+        assert result.timing.work_units_charged == 51
+        assert result.timing.other_seconds > 0
+        assert result.timing.stack_distance_seconds == 0
+        assert result.timing.capacity_seconds == 0
+        assert result.timing.total_seconds == result.timing.other_seconds
+
+    def test_concurrent_analyses_charge_only_their_own_budget(self):
+        # The server's path: analyses in worker threads of one process via
+        # asyncio.to_thread.  The first job's budget trips part-way through.
+        jobs = [
+            (_trisum(10), 1500),
+            (build_stencil_1d(40), None),
+            (build_copy_kernel(40), None),
+            (_transpose(), None),
+        ]
+
+        def run(job):
+            scop, budget = job
+            model = CacheModel(_machine((1024, 4096)), ModelOptions(symbolic_work_budget=budget))
+            probe = model.symbolic_probe(scop)
+            result = model.analyze(scop)
+            return (
+                probe.outcome,
+                probe.work_units,
+                normalize(probe.result.to_dict()) if probe.result else None,
+                normalize(result.to_dict()),
+            )
+
+        async def run_concurrently():
+            return await asyncio.gather(*(asyncio.to_thread(run, job) for job in jobs))
+
+        sequential = [run(job) for job in jobs]
+        assert [entry[:2] for entry in sequential] == [
+            ("budget", 1501), ("ok", 381), ("ok", 16), ("ok", 24)
+        ]
+        # A short switch interval interleaves the threads densely.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            concurrent = asyncio.run(asyncio.wait_for(run_concurrently(), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == sequential

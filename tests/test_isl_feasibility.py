@@ -238,7 +238,7 @@ def test_div_columns_bound_variable_range():
 def _pieces(scop):
     budget = WorkBudget()
     with active_budget(budget):
-        distances = StackDistanceAnalysis(scop, line_size=64, budget=budget).analyze()
+        distances = StackDistanceAnalysis(scop, line_size=64).analyze()
 
     def domain(system):
         return frozenset((c.kind, c.expr) for c in system.constraints)

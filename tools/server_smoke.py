@@ -13,6 +13,10 @@ fresh sqlite store — and asserts the service guarantees end to end:
 * a request over the admission budget ceiling is shed with 429/``budget``,
   and so is a ``/v1/lint`` whose cost probe asks for an unlimited budget,
   while a ``cost: false`` lint is admitted;
+* more concurrent cost-probing lints than ``--max-inflight`` allows shed
+  with 429/``capacity``, and every admitted lint reports the same COST work
+  units as the same lint sent alone (each probe charges only its own
+  budget);
 * a ``/v1/explore`` tile × capacity grid ranks from one analysis per tile
   and its table digest matches the offline ``Session.explore()`` against
   the same store;
@@ -33,12 +37,23 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.server.client import ServerClient  # noqa: E402
+
+#: Triangular reduction that the cost probe completes symbolically in about a
+#: second, long enough for concurrent lints to overlap.
+TRISUM_SOURCE = """kernel trisum
+array A[10][10] elem 64
+array s[10] elem 64
+S0: { [i, j] : 0 <= i < 10 and 0 <= j <= i }
+    s[i] = s[i] + A[i][j]
+"""
+MAX_INFLIGHT = 2
 
 
 def _wait_for_port(port_file: Path, process: subprocess.Popen, timeout: float = 30.0) -> int:
@@ -73,6 +88,7 @@ def main() -> int:
                     sys.executable, "-m", "repro.cli", "serve",
                     "--port", "0", "--port-file", str(port_file),
                     "--workers", "2", "--max-budget", "100000",
+                    "--max-inflight", str(MAX_INFLIGHT),
                     "--store-path", store_spec,
                 ],
                 cwd=ROOT,
@@ -144,6 +160,25 @@ def main() -> int:
             assert stats["shed_budget"] == 2, stats
             assert stats["store"]["hits"] >= 1, stats
 
+            # Concurrent lints beyond --max-inflight: the excess sheds, and
+            # each admitted probe's work units equal the lone probe's.
+            lint = {"source": TRISUM_SOURCE, "budget": 10000}
+            status, alone = client.request("POST", "/v1/lint", lint)
+            assert status == 200 and alone["cost"]["outcome"] == "fits", (status, alone)
+            burst = 3 * MAX_INFLIGHT
+            with ThreadPoolExecutor(max_workers=burst) as pool:
+                replies = list(pool.map(
+                    lambda _: client.request("POST", "/v1/lint", lint), range(burst)
+                ))
+            shed = [body for status, body in replies if status == 429]
+            admitted = [body for status, body in replies if status == 200]
+            assert len(shed) + len(admitted) == burst, replies
+            assert shed and all(body.get("shed") == "capacity" for body in shed), replies
+            assert admitted, "every concurrent lint was shed"
+            for body in admitted:
+                assert body["cost"] == alone["cost"], (body["cost"], alone["cost"])
+            assert client.stats()["shed_capacity"] >= 1
+
             # Offline byte-identity: the CLI-side session reads the entry
             # the server wrote and produces the identical payload.
             from repro.api import Session
@@ -175,7 +210,7 @@ def main() -> int:
 
     print(
         "server smoke OK: analyze, inline source, store rerun, coalesce, shed, "
-        "lint shed, explore, offline identity"
+        "lint shed, explore, concurrent lints, offline identity"
     )
     return 0
 
