@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..isl.constraints import ConstraintSystem
+from ..isl.constraints import Constraint, ConstraintSystem
 from ..isl.counting import CountingError, count_points
 from ..isl.qpoly import QPoly
 from ..isl.work import charge
@@ -67,12 +67,37 @@ class AccessDistances:
         return len(self.pieces)
 
 
+@dataclass
+class _WitnessPiece:
+    """One previous-access region of a witness, renamed to count variables."""
+
+    domain: ConstraintSystem
+    #: Schedule of the witness's previous access; ``None`` on a first touch.
+    prev_schedule: Optional[Tuple[QPoly, ...]]
+
+
+@dataclass
+class _Witness:
+    """An access whose first touches are counted inside reuse windows."""
+
+    access: AccessInstance
+    loop_vars: List[str]
+    domain: ConstraintSystem
+    schedule: Tuple[QPoly, ...]
+    pieces: List[_WitnessPiece]
+
+
 class StackDistanceAnalysis:
     """Computes the symbolic stack distances of every access of a SCoP.
 
     Charges the active work budget (:func:`repro.isl.work.charge`, scoped to
-    the calling thread or task context) per reuse-window system and per
-    accumulation step, so heavy kernels trip a deterministic fallback.
+    the calling thread or task context) one unit per reuse-window system
+    that reaches its leaf and one per accumulation step, so heavy kernels
+    trip a deterministic fallback.  The reuse-window search checks each
+    prefix of a system (target region with witness piece, then each lower
+    and each upper lex disjunct) before building anything under it; every
+    such check is a feasibility call and costs its unit there, and a leaf
+    under an empty prefix is never built, charged or checked.
     """
 
     def __init__(self, scop: Scop, *, line_size: int = 64) -> None:
@@ -89,19 +114,43 @@ class StackDistanceAnalysis:
     def analyze(self) -> List[AccessDistances]:
         start = time.perf_counter()
         prev_maps = self.prev_builder.all_prev_regions()
+        witnesses = self._witnesses(prev_maps)
         results = []
         for access in self.prev_builder.accesses:
-            results.append(self._distances_for(access, prev_maps))
+            results.append(self._distances_for(access, prev_maps, witnesses))
         self.elapsed_seconds = time.perf_counter() - start
         return results
 
     # ------------------------------------------------------------------
     # Per-access computation
     # ------------------------------------------------------------------
+    def _witnesses(self, prev_maps: Dict[Tuple[str, int], List[PrevRegion]]) -> List[_Witness]:
+        """Every access with its domain, schedule and regions over count variables."""
+        witnesses = []
+        for access in self.prev_builder.accesses:
+            rename = rename_map(access.statement, COUNT_PREFIX)
+            pieces = []
+            for region in prev_maps[access.key]:
+                prev_schedule = None
+                if not region.is_first_touch:
+                    prev_schedule = tuple(expr.substitute(rename) for expr in region.candidate.schedule)
+                pieces.append(_WitnessPiece(region.domain.substitute(rename), prev_schedule))
+            witnesses.append(
+                _Witness(
+                    access=access,
+                    loop_vars=access.loop_vars(COUNT_PREFIX),
+                    domain=access.domain(COUNT_PREFIX),
+                    schedule=access.schedule_exprs(self.schedule_length, COUNT_PREFIX),
+                    pieces=pieces,
+                )
+            )
+        return witnesses
+
     def _distances_for(
         self,
         target: AccessInstance,
         prev_maps: Dict[Tuple[str, int], List[PrevRegion]],
+        witnesses: List[_Witness],
     ) -> AccessDistances:
         result = AccessDistances(access=target)
         target_schedule = target.schedule_exprs(self.schedule_length)
@@ -110,7 +159,7 @@ class StackDistanceAnalysis:
                 result.first_touch_domains.append(region.domain)
                 continue
             window_start = region.candidate.schedule
-            contributions = self._window_contributions(region, window_start, target_schedule, prev_maps)
+            contributions = self._window_contributions(region, window_start, target_schedule, witnesses)
             result.pieces.extend(self._accumulate(region.domain, contributions))
         return result
 
@@ -119,48 +168,51 @@ class StackDistanceAnalysis:
         region: PrevRegion,
         window_start: Sequence[QPoly],
         window_end: Sequence[QPoly],
-        prev_maps: Dict[Tuple[str, int], List[PrevRegion]],
+        witnesses: List[_Witness],
     ) -> List[Tuple[ConstraintSystem, QPoly]]:
-        """First-touch counts contributed by every access of the program."""
-        contributions: List[Tuple[ConstraintSystem, QPoly]] = []
-        for witness in self.prev_builder.accesses:
-            rename = rename_map(witness.statement, COUNT_PREFIX)
-            witness_vars = witness.loop_vars(COUNT_PREFIX)
-            witness_domain = witness.domain(COUNT_PREFIX)
-            witness_schedule = witness.schedule_exprs(self.schedule_length, COUNT_PREFIX)
+        """First-touch counts contributed by every access of the program.
 
-            lower_disjuncts = lex_order_disjuncts(window_start, witness_schedule, strict=False)
-            upper_disjuncts = lex_order_disjuncts(witness_schedule, window_end, strict=False)
+        A leaf system is region ∧ witness domain ∧ witness piece ∧ one lower,
+        one upper and one first-touch lex disjunct, built in that order.  Each
+        prefix is checked once and shared by every leaf under it.
+        """
+        contributions: List[Tuple[ConstraintSystem, QPoly]] = []
+        for witness in witnesses:
+            lower_disjuncts = lex_order_disjuncts(window_start, witness.schedule, strict=False)
+            upper_disjuncts = lex_order_disjuncts(witness.schedule, window_end, strict=False)
             if not lower_disjuncts or not upper_disjuncts:
                 continue
+            with_witness = region.domain.conjoin(witness.domain)
 
-            for witness_region in prev_maps[witness.key]:
-                witness_piece_domain = witness_region.domain.substitute(rename)
-                if witness_region.is_first_touch:
-                    first_touch_disjuncts: List[List] = [[]]
+            for piece in witness.pieces:
+                if piece.prev_schedule is None:
+                    first_touch_disjuncts: List[List[Constraint]] = [[]]
                 else:
-                    witness_prev_schedule = tuple(
-                        expr.substitute(rename) for expr in witness_region.candidate.schedule
-                    )
-                    first_touch_disjuncts = lex_order_disjuncts(witness_prev_schedule, window_start, strict=True)
+                    first_touch_disjuncts = lex_order_disjuncts(piece.prev_schedule, window_start, strict=True)
                     if not first_touch_disjuncts:
                         continue
+                base = with_witness.conjoin(piece.domain)
+                if not feasible(base):
+                    continue
 
                 for lower in lower_disjuncts:
+                    after_lower = _extend(base, lower)
+                    if after_lower is None:
+                        continue
                     for upper in upper_disjuncts:
+                        after_upper = _extend(after_lower, upper)
+                        if after_upper is None:
+                            continue
                         for first_touch in first_touch_disjuncts:
                             charge()
-                            system = region.domain.conjoin(witness_domain)
-                            system = system.conjoin(witness_piece_domain)
-                            for constraint in lower + upper + first_touch:
-                                system.add(constraint)
-                            if not feasible(system):
+                            system = _extend(after_upper, first_touch)
+                            if system is None:
                                 continue
                             try:
-                                pieces = count_points(system, witness_vars)
+                                pieces = count_points(system, witness.loop_vars)
                             except CountingError as exc:
                                 raise ModelFallbackRequired(
-                                    f"cannot count reuse window of {witness!r}: {exc}"
+                                    f"cannot count reuse window of {witness.access!r}: {exc}"
                                 ) from exc
                             contributions.extend(pieces)
         return contributions
@@ -215,6 +267,17 @@ class StackDistanceAnalysis:
             else:
                 merged[key] = (domain, polynomial)
         return list(merged.values())
+
+
+def _extend(checked: ConstraintSystem, constraints: List[Constraint]) -> Optional[ConstraintSystem]:
+    """``checked`` (known feasible) ∧ pre-normalized ``constraints``, or ``None`` if empty.
+
+    An extension that leaves the system unchanged is not checked again.
+    """
+    system = checked.conjoin(constraints, pre_normalized=True)
+    if system.constraints == checked.constraints or feasible(system):
+        return system
+    return None
 
 
 def _constraint_key(constraint) -> Tuple:

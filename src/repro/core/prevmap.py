@@ -118,7 +118,7 @@ class PrevMapBuilder:
         candidates: List[PrevCandidate] = []
         for disjunct in lex_order_disjuncts(source_schedule, target_schedule, strict=True):
             charge()
-            system = base.conjoin(disjunct)
+            system = base.conjoin(disjunct, pre_normalized=True)
             if not feasible(system):
                 continue
             try:

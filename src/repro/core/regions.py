@@ -110,7 +110,8 @@ def lex_order_disjuncts(
     first differing position; for the non-strict comparison an "all equal"
     disjunct is appended.  Disjuncts that are statically impossible (two
     different constants) are dropped, which keeps the number of pieces the
-    cache-miss counting has to handle small.
+    cache-miss counting has to handle small.  The constraints are
+    normalized, so callers add them with ``pre_normalized=True``.
     """
     disjuncts: List[List[Constraint]] = []
     prefix: List[Constraint] = []
@@ -128,8 +129,8 @@ def lex_order_disjuncts(
                 prefix_alive = False
                 break
             continue
-        disjuncts.append(prefix + [ge(difference - 1, 0)])
-        prefix = prefix + [eq(difference, 0)]
+        disjuncts.append(prefix + [ge(difference - 1, 0).normalized()])
+        prefix = prefix + [eq(difference, 0).normalized()]
     if not strict and prefix_alive:
         disjuncts.append(prefix)
     return disjuncts

@@ -231,15 +231,18 @@ class ConstraintSystem:
         clone._ineq_by_coeffs = dict(self._ineq_by_coeffs)
         return clone
 
-    def conjoin(self, other: Union["ConstraintSystem", Iterable[Constraint]]) -> "ConstraintSystem":
+    def conjoin(
+        self,
+        other: Union["ConstraintSystem", Iterable[Constraint]],
+        *,
+        pre_normalized: bool = False,
+    ) -> "ConstraintSystem":
         clone = self.copy()
         if isinstance(other, ConstraintSystem):
             # Constraints stored in a system are already normalised.
-            for constraint in other.constraints:
-                clone.add(constraint, pre_normalized=True)
-        else:
-            for constraint in other:
-                clone.add(constraint)
+            other, pre_normalized = other.constraints, True
+        for constraint in other:
+            clone.add(constraint, pre_normalized=pre_normalized)
         return clone
 
     def substitute(self, assignment: Mapping[str, Union[QPoly, int, Fraction]]) -> "ConstraintSystem":
@@ -466,11 +469,13 @@ def substitute_equalities(system: ConstraintSystem, names: Sequence[str]) -> Tup
 
 _FEASIBILITY_CACHE: Dict[frozenset, bool] = {}
 
-#: Fourier-Motzkin gives up (answers "maybe feasible") past this many rows.
+#: Fourier-Motzkin gives up (answers "maybe feasible") past this many rows
+#: or variables.
 _MAX_ROWS = 600
+_MAX_VARS = 24
 
 
-def feasible_rational(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
+def feasible_rational(system: ConstraintSystem) -> bool:
     """Sound emptiness pruning: ``False`` means definitely integer-empty.
 
     Decides rational feasibility with per-row gcd tightening.  Every div is
@@ -480,9 +485,9 @@ def feasible_rational(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
     the gcd of its variable coefficients with its constant floored, which
     keeps every integer point, so ``False`` is a proof of integer emptiness
     and ``True`` may be a rationally feasible but integer-empty system: the
-    safe direction for pruning pieces.  Systems with more than ``max_vars``
-    variables, or whose elimination grows past 600 rows, answer ``True``.
-    Results are memoised on the canonical constraint set.
+    safe direction for pruning pieces.  Systems with more than ``_MAX_VARS``
+    variables, or whose elimination grows past ``_MAX_ROWS`` rows, answer
+    ``True``.  Results are memoised on the canonical constraint set.
     """
     if system.has_trivially_false():
         return False
@@ -493,16 +498,16 @@ def feasible_rational(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
     cached = _FEASIBILITY_CACHE.get(cache_key)
     if cached is not None:
         return cached
-    result = _feasible_rational_uncached(system, max_vars=max_vars)
+    result = _feasible_rational_uncached(system)
     if len(_FEASIBILITY_CACHE) < 200_000:
         _FEASIBILITY_CACHE[cache_key] = result
     return result
 
 
-def _feasible_rational_uncached(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
+def _feasible_rational_uncached(system: ConstraintSystem) -> bool:
     columns, rows, _ = _integer_rows(system)
     remaining = [j for j, col in enumerate(columns) if isinstance(col, str)]
-    if len(remaining) > max_vars:
+    if len(remaining) > _MAX_VARS:
         return True
     while remaining and rows:
         # Greedy minimum-degree ordering keeps the Fourier-Motzkin blow-up low;

@@ -338,7 +338,6 @@ def test_64_point_sweep_byte_identical_across_backends():
     assert not diff_payloads(payloads["python"], payloads["numpy"])
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("kernel", ("trisolv", "mvt"))
 def test_smoke_kernel_symbolic_curve_matches_count_misses(kernel):
     """Full symbolic pipeline on real PolyBench kernels: the curve equals a

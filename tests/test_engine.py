@@ -237,7 +237,7 @@ class TestWorkBudget:
 
         sequential = [run(job) for job in jobs]
         assert [entry[:2] for entry in sequential] == [
-            ("budget", 1501), ("ok", 381), ("ok", 16), ("ok", 24)
+            ("budget", 1501), ("ok", 389), ("ok", 16), ("ok", 24)
         ]
         # A short switch interval interleaves the threads densely.
         interval = sys.getswitchinterval()

@@ -257,7 +257,7 @@ def _pieces(scop):
 def test_copy_kernel_8_byte_pieces_are_pinned():
     assert _pieces(build_copy_kernel(16, element_size=8)) == (
         28,
-        1271,
+        1276,
         "b08fd60dd04a044c4d863fab2def4f4dfc417dc4611cca398f8da14da3105e30",
     )
 
@@ -265,6 +265,6 @@ def test_copy_kernel_8_byte_pieces_are_pinned():
 def test_stencil_1d_pieces_are_pinned():
     assert _pieces(build_stencil_1d(24)) == (
         7,
-        324,
+        332,
         "bcd2b332c331efa292b3c6d152fab40de031882188c3c6e9f2a0f317728bd9ac",
     )

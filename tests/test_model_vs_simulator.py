@@ -3,7 +3,8 @@ fully associative LRU reference (stack-distance profiler).
 
 Most cases use an element size equal to the cache line size, which keeps the
 symbolic pipeline free of floor divisions and therefore fast; dedicated cases
-exercise the cache-line (8 elements per line) path on tiny kernels.  Larger
+exercise the cache-line (8 elements per line) path on tiny kernels, and two
+registered PolyBench kernels run with one 8-byte element per line.  Larger
 line-grained kernels are marked ``slow``.
 """
 
@@ -11,6 +12,7 @@ import pytest
 
 from repro.core import CacheLevelSpec, CacheModel, MachineModel, ModelOptions
 from repro.scop import ScopBuilder
+from repro.scop.polybench import build_kernel
 from repro.simulator import StackDistanceProfiler, TraceGenerator
 
 LINE = 64
@@ -120,7 +122,6 @@ def test_stencil_exact():
     check_model_against_reference(build_stencil_1d(24), [2 * LINE, 8 * LINE])
 
 
-@pytest.mark.slow
 def test_gemm_tiny_exact():
     check_model_against_reference(build_gemm(6, 5, 4), [8 * LINE, 48 * LINE])
 
@@ -135,3 +136,21 @@ def test_copy_kernel_line_granularity_exact():
 @pytest.mark.slow
 def test_gemm_line_granularity_exact():
     check_model_against_reference(build_gemm(6, 9, 5, element_size=8), [4 * LINE, 32 * LINE])
+
+
+# ----------------------------------------------------------------------
+# Registered PolyBench kernels: 8-byte elements, one element per line
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kernel", ("trisolv", "mvt"))
+def test_smoke_kernel_symbolic_equals_trace(kernel):
+    scop = build_kernel(kernel, "mini")
+    machine = MachineModel(line_size=8, levels=(CacheLevelSpec(64, "L1"), CacheLevelSpec(512, "L2")))
+    model = CacheModel(machine, ModelOptions(fallback_to_simulation=False))
+    symbolic = model.analyze(scop)
+    trace = model.analyze_by_trace(scop)
+    assert not symbolic.used_fallback
+    for level in range(2):
+        assert (symbolic.compulsory(level), symbolic.capacity(level)) == (
+            trace.compulsory(level),
+            trace.capacity(level),
+        )
