@@ -228,17 +228,17 @@ class StackDistanceAnalysis:
         """Sum overlapping contribution pieces into a disjoint partition."""
         grouped = self._group_by_domain(contributions)
         pieces: List[Tuple[ConstraintSystem, QPoly]] = [(base_domain, QPoly())]
-        base_keys = _constraint_keys(base_domain)
+        base_rows = base_domain.row_set()
         for domain, polynomial in grouped:
-            extra = [c for c in domain.constraints if _constraint_key(c) not in base_keys]
+            extra = [c for c in domain.constraints if c.row not in base_rows]
             updated: List[Tuple[ConstraintSystem, QPoly]] = []
             for piece_domain, piece_poly in pieces:
                 charge()
                 if not extra:
                     updated.append((piece_domain, piece_poly + polynomial))
                     continue
-                piece_keys = _constraint_keys(piece_domain)
-                novel = [c for c in extra if _constraint_key(c) not in piece_keys]
+                piece_rows = piece_domain.row_set()
+                novel = [c for c in extra if c.row not in piece_rows]
                 if not novel:
                     updated.append((piece_domain, piece_poly + polynomial))
                     continue
@@ -260,7 +260,7 @@ class StackDistanceAnalysis:
         """Merge contributions with syntactically identical domains."""
         merged: Dict[frozenset, Tuple[ConstraintSystem, QPoly]] = {}
         for domain, polynomial in contributions:
-            key = frozenset(_constraint_keys(domain))
+            key = domain.row_set()
             if key in merged:
                 existing_domain, existing_poly = merged[key]
                 merged[key] = (existing_domain, existing_poly + polynomial)
@@ -278,11 +278,3 @@ def _extend(checked: ConstraintSystem, constraints: List[Constraint]) -> Optiona
     if system.constraints == checked.constraints or feasible(system):
         return system
     return None
-
-
-def _constraint_key(constraint) -> Tuple:
-    return (constraint.kind, constraint.expr._canonical_items())
-
-
-def _constraint_keys(system: ConstraintSystem) -> set:
-    return {_constraint_key(c) for c in system.constraints}

@@ -9,7 +9,8 @@ real work from the hot path.
 
 Constraint systems store their constraints normalized (coprime integer
 coefficients, tightest bound per direction), so the canonical key is simply
-the unordered set of ``(kind, canonical monomials)`` pairs; two systems that
+the unordered set of the constraints' integer rows
+(:meth:`~repro.isl.constraints.ConstraintSystem.row_set`); two systems that
 describe the same conjunction in a different order or construction history
 hash to the same key.
 
@@ -37,11 +38,7 @@ def canonical_key(system: ConstraintSystem, count_vars: Sequence[str]) -> Tuple:
     constraints; the count variables stay ordered because the summation
     order is part of the problem statement.
     """
-    constraints = frozenset(
-        (constraint.kind, constraint.expr._canonical_items())
-        for constraint in system.constraints
-    )
-    return (constraints, tuple(count_vars))
+    return (system.row_set(), tuple(count_vars))
 
 
 @dataclass

@@ -54,19 +54,71 @@ class UnboundedSetError(Exception):
 EQ = "eq"
 INEQ = "ineq"
 
+#: A constraint as ``(is_eq, ((symbol, coefficient), ...), constant)``, all
+#: integers, symbols in canonical order: the key under which systems
+#: deduplicate constraints and memoise feasibility.
+ConstraintRow = Tuple[bool, Tuple[Tuple[Symbol, int], ...], int]
 
-@dataclass(frozen=True)
+
 class Constraint:
-    """``expr == 0`` (kind ``eq``) or ``expr >= 0`` (kind ``ineq``)."""
+    """``expr == 0`` (kind ``eq``) or ``expr >= 0`` (kind ``ineq``).
 
-    expr: QPoly
-    kind: str
+    Instances are immutable by convention.  The normalized form, the
+    integer row and the hash are computed on first use and cached; pickling
+    carries only ``expr`` and ``kind``, so a cached hash never crosses into a
+    process with a different hash seed.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in (EQ, INEQ):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if not self.expr.is_affine():
-            raise ValueError(f"constraint expression must be (quasi-)affine: {self.expr}")
+    __slots__ = ("expr", "kind", "_normalized", "_row", "_hash")
+
+    def __init__(self, expr: QPoly, kind: str) -> None:
+        if kind not in (EQ, INEQ):
+            raise ValueError(f"unknown constraint kind {kind!r}")
+        if not expr.is_affine():
+            raise ValueError(f"constraint expression must be (quasi-)affine: {expr}")
+        self.expr = expr
+        self.kind = kind
+        self._normalized: Optional[Constraint] = None
+        self._row: Optional[ConstraintRow] = None
+        self._hash: Optional[int] = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Constraint):
+            return NotImplemented
+        return self.kind == other.kind and self.expr == other.expr
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = self._hash = hash((self.expr, self.kind))
+        return value
+
+    def __reduce__(self):
+        return (Constraint, (self.expr, self.kind))
+
+    @property
+    def row(self) -> ConstraintRow:
+        """``(is_eq, ((symbol, coefficient), ...), constant)`` in canonical order.
+
+        Defined only for integral constraints (normalized ones are): raises
+        ``ValueError`` on a fractional coefficient or constant, since two
+        different rational constraints would otherwise share one row.
+        """
+        row = self._row
+        if row is None:
+            coeffs = []
+            const = 0
+            for monomial, value in self.expr._canonical_items():
+                if value.denominator != 1:
+                    raise ValueError(f"integer row of a non-integral constraint: {self!r}")
+                if monomial:
+                    coeffs.append((monomial[0][0], value.numerator))
+                else:
+                    const = value.numerator
+            row = self._row = (self.kind == EQ, tuple(coeffs), const)
+        return row
 
     def substitute(self, assignment: Mapping[str, Union[QPoly, int, Fraction]]) -> "Constraint":
         return Constraint(self.expr.substitute(assignment), self.kind)
@@ -89,22 +141,27 @@ class Constraint:
         value = self.expr.constant_value()
         return value == 0 if self.kind == EQ else value >= 0
 
-    def is_trivially_false(self) -> bool:
-        if not self.expr.is_constant():
-            return False
-        value = self.expr.constant_value()
-        return value != 0 if self.kind == EQ else value < 0
-
     def normalized(self) -> "Constraint":
         """Scale to coprime integer coefficients (and tighten inequalities).
 
         For inequalities the constant term may be tightened to
         ``floor(const / g)`` after dividing by the gcd ``g`` of the variable
-        coefficients, which is valid over the integers.
+        coefficients, which is valid over the integers.  The result is
+        computed once and is its own normalized form.
         """
+        result = self._normalized
+        if result is None:
+            result = self._normalized = self._normalize()
+            result._normalized = result
+        return result
+
+    def _normalize(self) -> "Constraint":
         coeffs, const = self.expr.affine_coefficients()
         if not coeffs:
-            return self
+            if const.denominator == 1:
+                return self
+            # A constant keeps its truth value scaled to an integer.
+            return Constraint(QPoly.constant(const.numerator), self.kind)
         denominators = [c.denominator for c in coeffs.values()] + [const.denominator]
         lcm = 1
         for d in denominators:
@@ -180,14 +237,18 @@ class ConstraintSystem:
     distinction (counting, lexicographic optimisation, enumeration).
     """
 
-    __slots__ = ("constraints", "_keys", "_ineq_by_coeffs")
+    __slots__ = ("constraints", "_keys", "_ineq_by_coeffs", "_false", "_row_set")
 
     def __init__(self, constraints: Optional[Iterable[Constraint]] = None) -> None:
         self.constraints: List[Constraint] = []
+        #: Rows of every constraint ever kept, including replaced ones.
         self._keys: set = set()
-        #: For inequalities: canonical coefficient vector -> index into
+        #: For inequalities: coefficient part of the row -> index into
         #: ``constraints``; used to keep only the tightest bound per direction.
         self._ineq_by_coeffs: Dict[Tuple, int] = {}
+        #: Whether some constraint is a false constant.
+        self._false = False
+        self._row_set: Optional[frozenset] = None
         if constraints:
             for constraint in constraints:
                 self.add(constraint)
@@ -199,36 +260,36 @@ class ConstraintSystem:
         if constraint.is_trivially_true():
             return
         normalized = constraint if pre_normalized else constraint.normalized()
-        key = (normalized.kind, normalized.expr._canonical_items())
-        if key in self._keys:
+        row = normalized.row
+        if row in self._keys:
             return
-        if normalized.kind == INEQ and not normalized.is_trivially_false():
+        is_eq, coeffs, const = row
+        if coeffs and not is_eq:
             # Keep only the tightest inequality per coefficient direction:
             # a.x + c1 >= 0 subsumes a.x + c2 >= 0 whenever c1 <= c2.
-            const = normalized.expr.constant_value()
-            coeff_key = tuple(
-                item for item in normalized.expr._canonical_items() if item[0] != ()
-            )
-            existing_index = self._ineq_by_coeffs.get(coeff_key)
-            if existing_index is not None:
-                existing = self.constraints[existing_index]
-                if existing.expr.constant_value() <= const:
-                    return
-                self.constraints[existing_index] = normalized
-                self._keys.add(key)
+            existing_index = self._ineq_by_coeffs.get(coeffs)
+            if existing_index is None:
+                self._ineq_by_coeffs[coeffs] = len(self.constraints)
+                self.constraints.append(normalized)
+            elif self.constraints[existing_index].row[2] <= const:
                 return
-            self._keys.add(key)
-            self._ineq_by_coeffs[coeff_key] = len(self.constraints)
+            else:
+                self.constraints[existing_index] = normalized
+        else:
+            if not coeffs:
+                # A constant that is not trivially true is false.
+                self._false = True
             self.constraints.append(normalized)
-            return
-        self._keys.add(key)
-        self.constraints.append(normalized)
+        self._keys.add(row)
+        self._row_set = None
 
     def copy(self) -> "ConstraintSystem":
         clone = ConstraintSystem()
         clone.constraints = list(self.constraints)
         clone._keys = set(self._keys)
         clone._ineq_by_coeffs = dict(self._ineq_by_coeffs)
+        clone._false = self._false
+        clone._row_set = self._row_set
         return clone
 
     def conjoin(
@@ -258,7 +319,18 @@ class ConstraintSystem:
         return names
 
     def has_trivially_false(self) -> bool:
-        return any(c.is_trivially_false() for c in self.constraints)
+        return self._false
+
+    def row_set(self) -> frozenset:
+        """The constraints' integer rows as a frozenset: the system's canonical key.
+
+        Stored constraints are normalized and deduplicated, so two systems
+        describing the same conjunction in any order share this key.
+        """
+        rows = self._row_set
+        if rows is None:
+            rows = self._row_set = frozenset(c.row for c in self.constraints)
+        return rows
 
     def involves(self, name: str) -> bool:
         return any(c.expr.involves(name) for c in self.constraints)
@@ -320,17 +392,11 @@ class ConstraintSystem:
 
 
 def _replace_div(poly: QPoly, div: Div, replacement: QPoly) -> QPoly:
-    terms: Dict = {}
     result = QPoly()
     for monomial, coeff in poly.terms.items():
         factor = QPoly.constant(coeff)
         for sym, exp in monomial:
-            if sym == div:
-                base = replacement
-            elif isinstance(sym, Div):
-                base = QPoly.variable(sym)
-            else:
-                base = QPoly.variable(sym)
+            base = replacement if sym == div else QPoly.variable(sym)
             for _ in range(exp):
                 factor = factor * base
         result = result + factor
@@ -487,14 +553,15 @@ def feasible_rational(system: ConstraintSystem) -> bool:
     and ``True`` may be a rationally feasible but integer-empty system: the
     safe direction for pruning pieces.  Systems with more than ``_MAX_VARS``
     variables, or whose elimination grows past ``_MAX_ROWS`` rows, answer
-    ``True``.  Results are memoised on the canonical constraint set.
+    ``True``.  Results are memoised on the system's integer rows
+    (:meth:`ConstraintSystem.row_set`), never on constraint objects.
     """
     if system.has_trivially_false():
         return False
     # Charged before the memo lookup: the unit count then only depends on the
     # call sequence (deterministic per job), not on cross-job cache warmth.
     _charge_work()
-    cache_key = frozenset((c.kind, c.expr._canonical_items()) for c in system.constraints)
+    cache_key = system.row_set()
     cached = _FEASIBILITY_CACHE.get(cache_key)
     if cached is not None:
         return cached
@@ -658,18 +725,11 @@ def _integer_rows(
             divs.append(sym)
         return token
 
-    # Ordered {column: coefficient} rows; stored constraints are normalised,
-    # so every coefficient and constant is integral.
-    sparse: List[Tuple[bool, Dict[Union[str, int], int], int]] = []
-    for constraint in system.constraints:
-        coeffs: Dict[Union[str, int], int] = {}
-        const = 0
-        for monomial, value in constraint.expr.terms.items():
-            if monomial:
-                coeffs[key(monomial[0][0])] = value.numerator
-            else:
-                const = value.numerator
-        sparse.append((constraint.kind == EQ, coeffs, const))
+    # Ordered {column: coefficient} rows, from each constraint's cached row.
+    sparse: List[Tuple[bool, Dict[Union[str, int], int], int]] = [
+        (is_eq, {key(sym): c for sym, c in coeffs}, const)
+        for is_eq, coeffs, const in (constraint.row for constraint in system.constraints)
+    ]
     fresh: List[str] = []
     kept: set = set()
     while True:
@@ -777,10 +837,7 @@ def _enumerate_recursive(system: ConstraintSystem, names: List[str], partial: Di
         return
     name = names[0]
     rest = names[1:]
-    try:
-        low, high = variable_range(system, name, [n for n in system.variables() if n != name and isinstance(n, str)])
-    except UnboundedSetError:
-        raise
+    low, high = variable_range(system, name, [n for n in system.variables() if n != name and isinstance(n, str)])
     for value in range(low, high + 1):
         substituted = system.substitute({name: value})
         if substituted.has_trivially_false():

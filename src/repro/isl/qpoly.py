@@ -15,7 +15,6 @@ in :mod:`repro.isl.counting`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -40,7 +39,6 @@ def _to_fraction(value: Number) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
 class Div:
     """A floor division ``floor(expr / denominator)`` used as a symbol.
 
@@ -48,23 +46,52 @@ class Div:
     ``(monomial, coefficient)`` pairs plus the constant term, exactly as
     produced by :meth:`QPoly._canonical_items`.  ``denominator`` is a positive
     integer.  Divs may be nested (the argument may itself contain divs).
+
+    Instances are immutable by convention.  The hash and the sort key (the
+    ``repr``) are computed once and cached; pickling rebuilds a div from
+    ``items`` and ``denominator`` only, so a cached string hash never
+    crosses into a process with a different hash seed.
     """
 
-    items: Tuple[Tuple[Tuple[Tuple["Symbol", int], ...], Fraction], ...]
-    denominator: int
+    __slots__ = ("items", "denominator", "_hash", "_sort_key")
+
+    def __init__(self, items: Tuple[Tuple["Monomial", Fraction], ...], denominator: int) -> None:
+        self.items = items
+        self.denominator = denominator
+        self._hash: Optional[int] = None
+        self._sort_key: Optional[str] = None
 
     def argument(self) -> "QPoly":
         """Return the argument of the floor as a :class:`QPoly`."""
-        poly = QPoly()
-        terms = dict(poly.terms)
-        for monomial, coeff in self.items:
-            terms[monomial] = coeff
-        return QPoly(terms)
+        return QPoly(dict(self.items))
 
     def symbols(self) -> set:
         return self.argument().symbols()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def sort_key(self) -> str:
+        """The ``repr``, which orders divs among the symbols of a monomial."""
+        key = self._sort_key
+        if key is None:
+            key = self._sort_key = repr(self)
+        return key
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Div):
+            return NotImplemented
+        return self.denominator == other.denominator and self.items == other.items
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = self._hash = hash((self.items, self.denominator))
+        return value
+
+    def __reduce__(self):
+        return (Div, (self.items, self.denominator))
+
+    def __repr__(self) -> str:
         return f"floor(({self.argument()})/{self.denominator})"
 
 
@@ -75,7 +102,12 @@ Monomial = Tuple[Tuple[Symbol, int], ...]
 def _symbol_sort_key(symbol: Symbol) -> Tuple[int, str]:
     if isinstance(symbol, str):
         return (0, symbol)
-    return (1, repr(symbol))
+    return (1, symbol.sort_key())
+
+
+def _term_sort_key(term: Tuple[Monomial, Fraction]) -> Tuple[int, list]:
+    monomial = term[0]
+    return (len(monomial), [(_symbol_sort_key(s), e) for s, e in monomial])
 
 
 def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -94,7 +126,10 @@ class QPoly:
     sorted tuple of ``(symbol, exponent)`` pairs where a symbol is either a
     variable name or a :class:`Div` (a nested floor-division term, which is
     what makes the polynomial "quasi").  Instances are immutable by
-    convention; all operations return new objects.
+    convention; all operations return new objects.  The canonical form
+    (:meth:`_canonical_items`) and the hash are computed on first use and
+    cached; pickling carries only ``terms``, so a cached hash never crosses
+    into a process with a different hash seed.
 
     **Exactness contract.**  Coefficients are ``fractions.Fraction``s and
     every operation — arithmetic, substitution, evaluation — is exact
@@ -113,7 +148,7 @@ class QPoly:
     active :class:`~repro.isl.work.WorkBudget`.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_items", "_hash")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Number]] = None) -> None:
         clean: Dict[Monomial, Fraction] = {}
@@ -123,6 +158,11 @@ class QPoly:
                 if frac:
                     clean[monomial] = frac
         self.terms: Dict[Monomial, Fraction] = clean
+        self._items: Optional[Tuple[Tuple[Monomial, Fraction], ...]] = None
+        self._hash: Optional[int] = None
+
+    def __reduce__(self):
+        return (QPoly, (self.terms,))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -151,7 +191,10 @@ class QPoly:
     # Introspection
     # ------------------------------------------------------------------
     def _canonical_items(self) -> Tuple[Tuple[Monomial, Fraction], ...]:
-        return tuple(sorted(self.terms.items(), key=lambda it: (len(it[0]), [(_symbol_sort_key(s), e) for s, e in it[0]])))
+        items = self._items
+        if items is None:
+            items = self._items = tuple(sorted(self.terms.items(), key=_term_sort_key))
+        return items
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -295,7 +338,10 @@ class QPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(self._canonical_items())
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self._canonical_items())
+        return value
 
     def __repr__(self) -> str:
         if not self.terms:
