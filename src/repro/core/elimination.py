@@ -21,12 +21,25 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..isl.constraints import ConstraintSystem, _replace_div, eq, ge, le
+from ..isl.constraints import ConstraintSystem, eq, ge, le
 from ..isl.qpoly import Div, QPoly
 from .distance import DistancePiece
 from .regions import feasible
 
 __all__ = ["equalize", "rasterize"]
+
+
+def _replace_div(poly: QPoly, div: Div, replacement: QPoly) -> QPoly:
+    """``poly`` with every top-level occurrence of ``div`` replaced."""
+    result = QPoly()
+    for monomial, coeff in poly.terms.items():
+        factor = QPoly.constant(coeff)
+        for sym, exp in monomial:
+            base = replacement if sym == div else QPoly.variable(sym)
+            for _ in range(exp):
+                factor = factor * base
+        result = result + factor
+    return result
 
 
 def _nonaffine_divs(poly: QPoly) -> List[Div]:

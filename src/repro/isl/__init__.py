@@ -10,7 +10,6 @@ from .qpoly import Div, QPoly, affine_expr, constant, floor_div, variable
 from .constraints import (
     Constraint,
     ConstraintSystem,
-    NonExactProjectionError,
     UnboundedSetError,
     eq,
     ge,
@@ -25,7 +24,6 @@ __all__ = [
     "ConstraintSystem",
     "CountingError",
     "Div",
-    "NonExactProjectionError",
     "QPoly",
     "UnboundedSetError",
     "affine_expr",

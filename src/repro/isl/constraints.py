@@ -9,10 +9,10 @@ The module provides the operations the cache model pipeline needs:
 
 * normalisation to integer coefficients,
 * substitution,
-* rational Fourier-Motzkin elimination (with an exactness certificate for the
-  cases where the integer projection coincides with the rational one),
-* feasibility checks used to prune empty pieces (Fourier-Motzkin on integer
-  rows, with the gcd tightening of each inequality),
+* integer rows with one Fourier-Motzkin engine on them, used for the
+  feasibility checks that prune empty pieces (with the gcd tightening of
+  each inequality), for enumeration ranges and for the exact projection of
+  the parametric lexicographic optimisation,
 * bound extraction for a variable (used by symbolic counting and by the
   parametric lexicographic optimisation), and
 * explicit enumeration of integer points (test oracle and partial-enumeration
@@ -33,7 +33,6 @@ from .work import charge as _charge_work
 __all__ = [
     "Constraint",
     "ConstraintSystem",
-    "NonExactProjectionError",
     "UnboundedSetError",
     "eq",
     "ge",
@@ -41,10 +40,6 @@ __all__ = [
     "gt",
     "lt",
 ]
-
-
-class NonExactProjectionError(Exception):
-    """Raised when Fourier-Motzkin elimination cannot be certified exact."""
 
 
 class UnboundedSetError(Exception):
@@ -355,54 +350,6 @@ class ConstraintSystem:
     def __len__(self) -> int:
         return len(self.constraints)
 
-    # ------------------------------------------------------------------
-    # Div expansion
-    # ------------------------------------------------------------------
-    def expand_divs(self, names: Sequence[str], prefix: str = "__q") -> Tuple["ConstraintSystem", List[str], Dict[str, Div]]:
-        """Replace divs involving ``names`` by fresh existential variables.
-
-        Returns the rewritten system, the list of fresh variable names (to be
-        treated as additional innermost variables) and the mapping back to the
-        original divs.  Divs that only involve other symbols (parameters) are
-        left untouched; they are constants of the sub-problem.
-        """
-        targets = self.divs_involving(names)
-        if not targets:
-            return self, [], {}
-        system = self
-        fresh: List[str] = []
-        mapping: Dict[str, Div] = {}
-        counter = 0
-        while targets:
-            div = targets[0]
-            var = f"{prefix}{counter}"
-            counter += 1
-            fresh.append(var)
-            mapping[var] = div
-            replacement = QPoly.variable(var)
-            rewritten = ConstraintSystem()
-            for constraint in system.constraints:
-                rewritten.add(Constraint(_replace_div(constraint.expr, div, replacement), constraint.kind))
-            argument = div.argument()
-            rewritten.add(ge(argument - QPoly.variable(var) * div.denominator, 0))
-            rewritten.add(le(argument - QPoly.variable(var) * div.denominator, div.denominator - 1))
-            system = rewritten
-            targets = system.divs_involving(list(names) + fresh)
-        return system, fresh, mapping
-
-
-def _replace_div(poly: QPoly, div: Div, replacement: QPoly) -> QPoly:
-    result = QPoly()
-    for monomial, coeff in poly.terms.items():
-        factor = QPoly.constant(coeff)
-        for sym, exp in monomial:
-            base = replacement if sym == div else QPoly.variable(sym)
-            for _ in range(exp):
-                factor = factor * base
-        result = result + factor
-    return result
-
-
 # ----------------------------------------------------------------------
 # Bounds
 # ----------------------------------------------------------------------
@@ -467,72 +414,8 @@ def bounds_for(system: ConstraintSystem, name: str) -> Tuple[List[Bound], List[B
 
 
 # ----------------------------------------------------------------------
-# Fourier-Motzkin elimination and feasibility
+# Feasibility
 # ----------------------------------------------------------------------
-def fm_eliminate(system: ConstraintSystem, name: str, *, require_exact: bool = False) -> ConstraintSystem:
-    """Eliminate ``name`` by Fourier-Motzkin.
-
-    The result is the rational shadow; it is certified to equal the integer
-    projection when every lower bound or every upper bound on ``name`` has a
-    unit coefficient (this is the classic exactness condition, satisfied by
-    all loop-bound style constraints).  ``require_exact=True`` raises
-    :class:`NonExactProjectionError` otherwise.
-    """
-    if not system.involves(name):
-        return system
-    expanded, fresh, _ = system.expand_divs([name])
-    if fresh:
-        # Divs involving the eliminated variable: eliminate the fresh
-        # existentials afterwards (they are innermost).
-        result = expanded
-        for aux in [name] + fresh:
-            result = fm_eliminate(result, aux, require_exact=require_exact)
-        return result
-    lowers, uppers, rest = bounds_for(system, name)
-    exact = all(b.coeff == 1 for b in lowers) or all(b.coeff == 1 for b in uppers)
-    if require_exact and not exact:
-        raise NonExactProjectionError(f"projection of {name} cannot be certified exact")
-    out = ConstraintSystem(rest)
-    for low in lowers:
-        for up in uppers:
-            # low.expr / low.coeff <= v <= up.expr / up.coeff
-            out.add(ge(up.expr * low.coeff - low.expr * up.coeff, 0))
-    return out
-
-
-def substitute_equalities(system: ConstraintSystem, names: Sequence[str]) -> Tuple[ConstraintSystem, Dict[str, QPoly]]:
-    """Use unit-coefficient equalities to substitute out variables in ``names``.
-
-    Returns the simplified system and the mapping of eliminated variables to
-    their defining expressions.  Only exact (coefficient +-1) substitutions
-    are performed.
-    """
-    assignment: Dict[str, QPoly] = {}
-    current = system
-    changed = True
-    remaining = set(names)
-    while changed and remaining:
-        changed = False
-        for constraint in current.constraints:
-            if constraint.kind != EQ:
-                continue
-            for name in list(remaining):
-                coeff = constraint.expr.coefficient(name)
-                if coeff in (1, -1) and not constraint.expr.degree_in_divs(name):
-                    rest = constraint.expr - QPoly.variable(name) * coeff
-                    value = rest * (-1) if coeff == 1 else rest
-                    replacement = {name: value}
-                    assignment = {k: v.substitute(replacement) for k, v in assignment.items()}
-                    assignment[name] = value
-                    current = current.substitute(replacement)
-                    remaining.discard(name)
-                    changed = True
-                    break
-            if changed:
-                break
-    return current, assignment
-
-
 _FEASIBILITY_CACHE: Dict[frozenset, bool] = {}
 
 #: Fourier-Motzkin gives up (answers "maybe feasible") past this many rows
@@ -647,16 +530,20 @@ class _RowSet:
         return True
 
 
-def _eliminate(rows: List[Row], j: int, *, drop_contradictions: bool = False) -> Optional[List[Row]]:
+def _eliminate(
+    rows: List[Row], j: int, *, pivot: Optional[Row] = None, drop_contradictions: bool = False
+) -> Optional[List[Row]]:
     """Rational Fourier-Motzkin elimination of column ``j``.
 
-    The first equality mentioning the column is substituted into every other
-    row; without one, every lower bound is paired with every upper bound.
-    Returns ``None`` as soon as a row reduces to a false constant, unless
-    ``drop_contradictions`` asks to skip such rows and go on.
+    An equality mentioning the column (``pivot``, by default the first one)
+    is substituted into every other row; without one, every lower bound is
+    paired with every upper bound.  Returns ``None`` as soon as a row reduces
+    to a false constant, unless ``drop_contradictions`` asks to skip such rows
+    and go on.
     """
     out = _RowSet()
-    pivot = next((row for row in rows if row[0] and row[1][j]), None)
+    if pivot is None:
+        pivot = next((row for row in rows if row[0] and row[1][j]), None)
     if pivot is not None:
         _, pivot_coeffs, pivot_const = pivot
         c = pivot_coeffs[j]
@@ -699,20 +586,20 @@ def _eliminate(rows: List[Row], j: int, *, drop_contradictions: bool = False) ->
 
 def _integer_rows(
     system: ConstraintSystem, names: Optional[Iterable[str]] = None
-) -> Tuple[List[Union[str, int]], List[Row], List[str]]:
+) -> Tuple[List[Symbol], List[Row], List[str]]:
     """The system as integer rows over a fixed column order.
 
     Every div whose argument mentions one of ``names`` (any variable when
-    ``names`` is ``None``) becomes a fresh column ``__q0, __q1, ...``, in
-    :meth:`ConstraintSystem.expand_divs` order, bounded by its two defining
-    rows; the div is linear in its row, so that is a rename.  Columns are the
-    variables sorted by name, then an int token per div left in place.
-    Returns the columns, the rows and the fresh names.
+    ``names`` is ``None``) becomes a fresh column ``__q0, __q1, ...``, in the
+    order the rows first mention the divs, bounded by its two defining rows;
+    the div is linear in its row, so that is a rename.  Columns are the
+    variables sorted by name, then each div left in place.  Returns the
+    columns, the rows and the fresh names.
     """
     name_set = None if names is None else set(names)
     # Divs are keyed by int tokens while they sit in the rows.  Renaming
     # retires a token: a copy of the same div surfacing later (nested in
-    # another div's argument) is a new div, as in ``expand_divs``.
+    # another div's argument) is a new div.
     tokens: Dict[Div, int] = {}
     divs: List[Div] = []
 
@@ -773,11 +660,11 @@ def _integer_rows(
             elif sparse[index][2] > const:
                 sparse[index] = (False, coeffs, const)
     used = dict.fromkeys(k for _, coeffs, _ in sparse for k in coeffs)
-    columns: List[Union[str, int]] = sorted(k for k in used if isinstance(k, str))
-    columns += [k for k in used if not isinstance(k, str)]
+    keys: List[Union[str, int]] = sorted(k for k in used if isinstance(k, str))
+    keys += [k for k in used if not isinstance(k, str)]
     zeros = itertools.repeat(0)
-    rows = [(is_eq, tuple(map(coeffs.get, columns, zeros)), const) for is_eq, coeffs, const in sparse]
-    return columns, rows, fresh
+    rows = [(is_eq, tuple(map(coeffs.get, keys, zeros)), const) for is_eq, coeffs, const in sparse]
+    return [k if isinstance(k, str) else divs[k] for k in keys], rows, fresh
 
 
 # ----------------------------------------------------------------------

@@ -6,28 +6,30 @@ previous access to the same cache line.  This module provides the equivalent
 operation for the constraint systems the cache model produces: a *greedy
 per-dimension* parametric optimisation with chamber splitting.
 
-For every optimised dimension the inner dimensions are projected away by
-Fourier-Motzkin elimination; the elimination is only accepted when it is
-certifiably exact (unit-coefficient condition), otherwise
-:class:`LexOptError` is raised and the caller falls back to a different
-strategy (per the hybrid design of the model).  On PolyBench-style programs,
-whose loop bounds and access functions have unit coefficients, the exact path
-always applies.
+For every optimised dimension the inner dimensions are projected away on
+the system's integer rows, with the same Fourier-Motzkin engine that decides
+feasibility; each elimination is only accepted when it is certifiably exact
+(unit-coefficient condition), otherwise :class:`LexOptError` is raised and
+the caller falls back to a different strategy (per the hybrid design of the
+model).  On PolyBench-style programs, whose loop bounds and access functions
+have unit coefficients, the exact path always applies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraints import (
+    EQ,
+    INEQ,
+    Constraint,
     ConstraintSystem,
-    NonExactProjectionError,
     UnboundedSetError,
+    _eliminate,
+    _integer_rows,
     bounds_for,
     feasible_rational,
-    fm_eliminate,
     ge,
-    substitute_equalities,
 )
 from .qpoly import QPoly
 
@@ -67,6 +69,8 @@ def _lex_opt(system: ConstraintSystem, opt_vars: List[str], *, maximize: bool) -
     head, tail = opt_vars[0], opt_vars[1:]
 
     projected = _project_inner(system, head, tail)
+    if projected is None:
+        return []
     try:
         lowers, uppers, rest = bounds_for(projected, head)
     except ValueError as exc:
@@ -98,28 +102,54 @@ def _lex_opt(system: ConstraintSystem, opt_vars: List[str], *, maximize: bool) -
     return pieces
 
 
-def _project_inner(system: ConstraintSystem, head: str, tail: List[str]) -> ConstraintSystem:
+def _project_inner(system: ConstraintSystem, head: str, tail: List[str]) -> Optional[ConstraintSystem]:
     """Project the system onto ``head`` and the parameters, exactly.
 
-    Divs that mention optimised variables are first expanded into existential
-    variables; unit-coefficient equalities (the common cache-line-equality
-    pattern) are used to substitute them away before the exact
-    Fourier-Motzkin elimination.
+    Works on the system's integer rows, where every div that mentions an
+    optimised variable is a fresh column.  Unit-coefficient equalities (the
+    common cache-line-equality pattern) substitute inner columns away first:
+    the first equality row with a unit coefficient pivots, on the first such
+    column in a fixed order (div columns, then ``tail``).  Fourier-Motzkin
+    then eliminates the remaining columns innermost first.  Returns ``None``
+    when elimination derives a contradiction, i.e. the set is empty.
     """
-    expanded, fresh, _ = system.expand_divs([head] + tail)
-    eliminate = list(tail) + list(fresh)
-    if eliminate:
-        expanded, assignment = substitute_equalities(expanded, eliminate)
-        eliminate = [name for name in eliminate if name not in assignment]
-    projected = expanded
-    for name in reversed(eliminate):
-        if not projected.involves(name):
+    columns, rows, fresh = _integer_rows(system, [head] + tail)
+    index = {col: j for j, col in enumerate(columns)}
+    inner = [index[name] for name in tail + fresh if name in index]
+    # A div column's two defining rows bound it from both sides by its
+    # denominator, so only an equality removes it exactly: try it first.
+    candidates = [index[name] for name in fresh + tail if name in index]
+    while True:
+        pivot = next(
+            ((row, j) for row in rows if row[0] for j in candidates if row[1][j] in (1, -1)),
+            None,
+        )
+        if pivot is None:
+            break
+        row, j = pivot
+        candidates.remove(j)
+        rows = _eliminate(rows, j, pivot=row)
+        if rows is None:
+            return None
+    for j in reversed(inner):
+        # Exact when every lower or every upper bound has a unit coefficient;
+        # an equality bounds from both sides.
+        lowers = [abs(row[1][j]) for row in rows if row[1][j] > 0 or (row[0] and row[1][j])]
+        uppers = [abs(row[1][j]) for row in rows if row[1][j] < 0 or (row[0] and row[1][j])]
+        if not lowers and not uppers:
             continue
-        try:
-            projected = fm_eliminate(projected, name, require_exact=True)
-        except NonExactProjectionError as exc:
-            raise LexOptError(f"cannot exactly project {name}: {exc}") from exc
-    return projected
+        if any(a != 1 for a in lowers) and any(a != 1 for a in uppers):
+            raise LexOptError(f"cannot exactly project {columns[j]}")
+        rows = _eliminate(rows, j)
+        if rows is None:
+            return None
+    return ConstraintSystem(
+        Constraint(
+            QPoly.from_affine({col: a for col, a in zip(columns, coeffs) if a}, const),
+            EQ if is_eq else INEQ,
+        )
+        for is_eq, coeffs, const in rows
+    )
 
 
 def _constrain_extremal(

@@ -1,10 +1,16 @@
 """Tests for parametric lexicographic optimisation."""
 
-import pytest
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.isl.constraints import ConstraintSystem, eq, ge, le
-from repro.isl.lexopt import evaluate_pieces, lexmax, lexmax_explicit, lexmin
+from hypothesis import given, settings, strategies as st
+
+from repro.isl.constraints import EQ, INEQ, Constraint, ConstraintSystem, UnboundedSetError, eq, ge, le
+from repro.isl.lexopt import LexOptError, evaluate_pieces, lexmax, lexmax_explicit, lexmin
 from repro.isl.qpoly import QPoly, floor_div
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def var(name):
@@ -92,3 +98,108 @@ def test_lexmax_contexts_disjoint():
                 )
             ]
             assert len(covering) == 1
+
+
+def _holds(context, point):
+    for constraint in context.constraints:
+        value = constraint.expr.evaluate(point)
+        if (value != 0) if constraint.kind == EQ else (value < 0):
+            return False
+    return True
+
+
+# ----------------------------------------------------------------------
+# The projection's pivot order is fixed, not a hash-seed accident
+# ----------------------------------------------------------------------
+#: One equality with unit coefficients on both an inner variable (``b``) and
+#: the div column of ``floor((c + 3)/2)``.  Pivoting on ``b`` would leave the
+#: div column with only its two non-unit defining rows, which cannot be
+#: projected exactly, so the pivot order must not depend on the hash seed and
+#: must try the div column first.
+SEED_SYSTEM = """
+from repro.isl.constraints import ConstraintSystem, eq, ge, le
+from repro.isl.qpoly import QPoly, floor_div
+
+a, b, c, p = (QPoly.variable(n) for n in "abcp")
+system = ConstraintSystem([
+    ge(a, -1), le(a, 6), ge(b, 0), le(b, 4), ge(c, -2), le(c, 5), ge(p, -1), le(p, 2),
+    eq(b + c - p - floor_div(c + 3, 2) - 3, 0), ge(b - c * 2 - p * 2 - 4, 0),
+])
+"""
+
+SEED_RUN = """
+from repro.isl.lexopt import LexOptError, evaluate_pieces, lexmax
+
+try:
+    pieces = lexmax(system, ["a", "b", "c"])
+except LexOptError:
+    print("LexOptError")
+else:
+    print([evaluate_pieces(pieces, 3, {"p": v}) for v in range(-1, 3)])
+"""
+
+
+def test_lexmax_outcome_does_not_depend_on_the_hash_seed():
+    outcomes = []
+    for seed in ("0", "7"):
+        result = subprocess.run(
+            [sys.executable, "-c", SEED_SYSTEM + SEED_RUN],
+            env={"PYTHONPATH": "src", "PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+            capture_output=True,
+            text=True,
+            cwd=str(ROOT),
+        )
+        assert result.returncode == 0, result.stderr
+        outcomes.append(result.stdout.strip())
+    assert outcomes[0] == outcomes[1]
+    namespace: dict = {}
+    exec(SEED_SYSTEM, namespace)
+    expected = [lexmax_explicit(namespace["system"], ["a", "b", "c"], {"p": v}) for v in range(-1, 3)]
+    assert outcomes[0] == repr(expected)
+
+
+# ----------------------------------------------------------------------
+# Random systems against brute force
+# ----------------------------------------------------------------------
+@st.composite
+def parametric_systems(draw):
+    """A box over 2-3 optimised variables and a parameter, plus 1-3 random rows.
+
+    A row may carry a floor div and may be an equality with unit or non-unit
+    coefficients.
+    """
+    names = ["x", "y", "z"][: draw(st.integers(min_value=2, max_value=3))]
+    box = {}
+    rows = []
+    for name in names + ["p"]:
+        low = draw(st.integers(min_value=-3, max_value=3))
+        box[name] = range(low, low + draw(st.integers(min_value=0, max_value=4)) + 1)
+        rows += [ge(name, box[name].start), le(name, box[name].stop - 1)]
+
+    def affine():
+        expr = QPoly.constant(draw(st.integers(min_value=-5, max_value=5)))
+        for name in names + ["p"]:
+            expr = expr + QPoly.variable(name) * draw(st.integers(min_value=-2, max_value=2))
+        return expr
+
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        expr = affine()
+        if draw(st.booleans()):
+            div = floor_div(affine(), draw(st.integers(min_value=2, max_value=4)))
+            expr = expr + div * draw(st.integers(min_value=-2, max_value=2))
+        rows.append(Constraint(expr, EQ if draw(st.booleans()) else INEQ))
+    return ConstraintSystem(rows), names, box["p"]
+
+
+@given(parametric_systems())
+@settings(max_examples=200, deadline=None)
+def test_lexmax_matches_bruteforce_on_random_systems(case):
+    system, names, params = case
+    try:
+        pieces = lexmax(system, names)
+    except (LexOptError, UnboundedSetError):
+        return
+    for p in range(params.start - 1, params.stop + 1):
+        point = {"p": p}
+        assert sum(1 for context, _ in pieces if _holds(context, point)) <= 1
+        assert evaluate_pieces(pieces, len(names), point) == lexmax_explicit(system, names, point)

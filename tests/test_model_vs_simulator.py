@@ -141,7 +141,7 @@ def test_gemm_line_granularity_exact():
 # ----------------------------------------------------------------------
 # Registered PolyBench kernels: 8-byte elements, one element per line
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", ("trisolv", "mvt"))
+@pytest.mark.parametrize("kernel", ("gemm", "atax", "bicg", "mvt", "trisolv", "jacobi-1d"))
 def test_smoke_kernel_symbolic_equals_trace(kernel):
     scop = build_kernel(kernel, "mini")
     machine = MachineModel(line_size=8, levels=(CacheLevelSpec(64, "L1"), CacheLevelSpec(512, "L2")))
