@@ -13,11 +13,14 @@ pipeline on NumPy arrays:
   stable lexsort, and the affine address math is evaluated as exact integer
   matrix operations;
 * **stack-distance profiling** — the per-access binary-indexed-tree loop of
-  the Bennett-Kruskal algorithm is replaced by an offline merge-counting
-  pass (``O(n log^2 n)`` NumPy work, no Python-level per-access iteration):
-  the stack distance of access ``t`` with previous occurrence ``p`` is
-  ``(t - p) - #{s < t : prev[s] > p}``, a dominance count evaluated with a
-  bottom-up merge and batched ``searchsorted``;
+  the Bennett-Kruskal algorithm is replaced by an offline blocked count (no
+  Python-level per-access iteration): the stack distance of access ``t``
+  with previous occurrence ``p`` is ``(t - p) - #{s < t : prev[s] > p}``,
+  the number of reuse edges nested inside ``(p, t)``.  Inside blocks of
+  ``K`` accesses a bottom-up merge with batched ``searchsorted`` counts
+  them (``log2 K`` levels); across block boundaries one prefix sum and one
+  ``searchsorted`` into a sorted table of the edges crossing each boundary
+  do, the table held to at most ``n / 4`` entries by the choice of ``K``;
 * **hit/miss evaluation** — fully associative LRU statistics fall out of the
   distance array directly; set-associative LRU statistics reuse the same
   profiler on the trace grouped (stably) by set index; tree-PLRU and FIFO —
@@ -219,59 +222,132 @@ def _check_bounds(index, array, dim: int, statement: str) -> None:
 # ----------------------------------------------------------------------
 # Vectorized Bennett-Kruskal stack distances
 # ----------------------------------------------------------------------
+def _stable_order(values):
+    """``np.argsort(values, kind="stable")`` of an integer array, faster.
+
+    The sort runs on ``values - values.min()`` in the narrowest unsigned
+    dtype that holds the span: the map is monotone, so the order is the
+    same, and spans below 2^16 get NumPy's radix sort.
+    """
+    if not values.shape[0]:
+        return np.empty(0, dtype=np.intp)
+    low = int(values.min())
+    keys = (values - low).astype(np.min_scalar_type(int(values.max()) - low))
+    return np.argsort(keys, kind="stable")
+
+
 def _previous_occurrence(lines):
     """``prev[t]`` = index of the previous access to ``lines[t]`` or ``-1``."""
-    n = lines.shape[0]
-    order = np.argsort(lines, kind="stable")
+    prev = np.empty(lines.shape[0], dtype=np.int64)
+    if not prev.shape[0]:
+        return prev
+    order = _stable_order(lines)
     sorted_lines = lines[order]
-    prev = np.full(n, -1, dtype=np.int64)
-    if n > 1:
-        same = sorted_lines[1:] == sorted_lines[:-1]
-        prev[order[1:][same]] = order[:-1][same]
+    same = sorted_lines[1:] == sorted_lines[:-1]
+    del sorted_lines
+    prev[order[0]] = -1
+    prev[order[1:]] = np.where(same, order[:-1], -1)
     return prev
 
 
-def _count_greater_before(values):
-    """``out[t] = #{s < t : values[s] > values[t]}`` by bottom-up merging.
+def _nested_reuse_counts(prev):
+    """``#{s < t : prev[s] > prev[t]}`` for every reuse ``t`` (``prev[t] >= 0``).
 
-    A classic inversion count, evaluated level by level: at block size ``b``
-    every (sorted) even block is merged against the queries of its odd
-    sibling with one batched ``searchsorted`` over offset-disambiguated
-    keys.  Each ordered pair (s, t) is counted exactly once — at the level
-    where s and t first fall into sibling blocks.
+    Each access ``s`` with ``prev[s] >= 0`` closes the reuse edge
+    ``(prev[s], s)``, so this counts the edges nested inside ``(p, t)``,
+    ``p = prev[t]``.  The trace is cut into blocks of ``K`` accesses; with
+    ``B`` the start of ``t``'s block the count splits into
+
+    * ``#{s in [B, t) : prev[s] > p}``, an inversion count inside the
+      block (:func:`_count_greater_within_blocks`, ``log2 K`` merge
+      levels); and, when ``p < B``,
+    * ``#{a in (p, B) : a has a next access}`` minus the edges ``(a, s)``
+      with ``p < a < B <= s``: one prefix sum, plus one ``searchsorted``
+      into the sorted table of the edges that cross each block boundary.
+
+    ``K`` is the smallest power of two whose crossing table has at most
+    ``n / 4`` entries; a trace without short reuse gets one block of the
+    whole (padded) trace.  First touches get meaningless counts.
+    """
+    n = prev.shape[0]
+    reuse = prev >= 0
+    has_next = np.zeros(n, dtype=bool)
+    has_next[prev[reuse]] = True
+    # open_after[x - 1] = #{edges (a, s) : a < x <= s}, the crossing-table
+    # entries of a boundary at x.  A block size's table size is the sum over
+    # its boundaries, so each candidate costs n / K reads.
+    open_after = np.cumsum(has_next.view(np.int8) - reuse.view(np.int8), dtype=np.int64)
+    block = 1
+    while block < n and int(open_after[block - 1 :: block].sum()) > n // 4:
+        block *= 2
+    # Table entries at boundaries <= j * block, at index j - 1.
+    group_end = np.cumsum(open_after[block - 1 :: block])
+    del open_after
+
+    nested = _count_greater_within_blocks(prev, block)
+    if not group_end.size or not group_end[-1]:
+        return nested
+
+    # The edges (p, t) that cross a block boundary, i.e. the reuses with p < B.
+    bounds = np.arange(n, dtype=np.int64)
+    bounds &= -block
+    targets = np.flatnonzero(reuse & (prev < bounds))
+    del bounds
+    sources = prev[targets]
+    last = targets // block
+    # Table keys boundary * n + source, sorted: boundary-major, then source.
+    # Edge e covers per_edge[e] boundaries up to ``last``; entry i (running
+    # over all edges) sits at boundary last + 1 - ends[e] + i, where
+    # ends = cumsum(per_edge).
+    per_edge = last - sources // block
+    table = np.repeat((last + 1 - np.cumsum(per_edge)) * n + sources, per_edge)
+    table += np.arange(0, table.shape[0] * n, n, dtype=np.int64)
+    table.sort()
+    crossing = group_end[last - 1] - np.searchsorted(table, last * n + sources, side="right")
+    # nexts[x] = #{a <= x : a has a next access}.
+    nexts = np.cumsum(has_next)
+    nested[targets] += nexts[last * block - 1] - nexts[sources] - crossing
+    return nested
+
+
+def _count_greater_within_blocks(values, block):
+    """``out[t] = #{s in [B, t) : values[s] > values[t]}``, ``B = t // block * block``.
+
+    Bottom-up merging inside each block of ``block`` (a power of two)
+    accesses.  At half-width ``h`` every ``2h`` pair's right half counts the
+    greater values of its left half: by ``h`` elementwise comparisons while
+    ``h <= 4``, above that by one batched ``searchsorted`` of the right
+    halves into the sorted left halves, pair-offset so one flat array holds
+    every pair.  Each ordered pair (s, t) of a block is counted once, at the
+    level where s and t first fall into sibling halves.
     """
     n = values.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    if n < 2:
-        return counts
-    size = 1
-    while size < n:
-        size *= 2
-    low = int(values.min())
-    padded = np.full(size, low - 1, dtype=np.int64)
+    size = -(-n // block) * block
+    padded = np.full(size, -1, dtype=np.int64)
     padded[:n] = values
-    span = int(values.max()) - (low - 1) + 2
-    block = 1
-    while block < size:
-        pair_count = size // (2 * block)
-        pairs = padded.reshape(pair_count, 2 * block)
-        left_sorted = np.sort(pairs[:, :block], axis=1)
-        queries = pairs[:, block:]
-        pair_ids = np.arange(pair_count, dtype=np.int64)[:, None]
-        base = low - 1
-        left_keys = ((left_sorted - base) + pair_ids * span).reshape(-1)
-        query_keys = ((queries - base) + pair_ids * span).reshape(-1)
-        positions = np.searchsorted(left_keys, query_keys, side="right")
-        leq = positions - np.repeat(pair_ids.reshape(-1) * block, block)
-        greater = block - leq
-        targets = (np.arange(size, dtype=np.int64).reshape(pair_count, 2 * block)[:, block:]).reshape(-1)
-        in_range = targets < n
-        # Each access appears in exactly one right block per level, so the
-        # target indices are unique and a fancy-indexed += is safe (and much
-        # faster than np.add.at).
-        counts[targets[in_range]] += greater[in_range]
-        block *= 2
-    return counts
+    span = n + 1  # values lie in [-1, n), so pair offsets keep pairs apart
+    counts = np.zeros(size, dtype=np.int64)
+    half = 1
+    while half < block:
+        pairs = size // (2 * half)
+        rows = padded.reshape(pairs, 2 * half)
+        targets = counts.reshape(pairs, 2 * half)[:, half:]
+        if half <= 4:
+            for column in range(half):
+                targets += rows[:, column : column + 1] > rows[:, half:]
+        else:
+            offsets = np.arange(0, pairs * span, span, dtype=np.int64)[:, None]
+            keys = np.sort(rows[:, :half], axis=1)
+            keys += offsets
+            queries = rows[:, half:] + offsets
+            found = np.searchsorted(keys.reshape(-1), queries.reshape(-1), side="right")
+            del keys, queries
+            # #{left > query} = half - (found - pair * half).
+            targets -= found.reshape(pairs, half)
+            del found
+            targets += np.arange(half, (pairs + 1) * half, half, dtype=np.int64)[:, None]
+        half *= 2
+    return counts[:n]
 
 
 def stack_distances(lines) -> "object":
@@ -280,16 +356,25 @@ def stack_distances(lines) -> "object":
     Matches :meth:`StackDistanceProfiler.profile` exactly (with ``-1``
     standing in for ``None``): the distance of access ``t`` with previous
     occurrence ``p`` is the number of distinct lines in ``(p, t)`` plus one,
-    i.e. ``(t - p)`` minus the number of reuse edges fully inside ``(p, t)``.
+    i.e. ``(t - p)`` minus the number of reuse edges fully inside ``(p, t)``
+    (:func:`_nested_reuse_counts`).
+
+    Cost, for ``n`` accesses and block size ``K``: one stable sort for the
+    previous occurrences (radix when the lines span fewer than 2^16),
+    ``O(n)`` to choose ``K``, ``log2 K`` merge levels of ``O(n log n)``
+    each, and one sort and one search over the at most ``n / 4`` crossing
+    entries.  Memory peaks during the merge levels at about five int64
+    words per access besides ``lines``.  Measured numbers: the trace-fallback
+    bullet of ``docs/PERFORMANCE.md``.
     """
     lines = np.asarray(lines, dtype=np.int64)
     n = lines.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
     prev = _previous_occurrence(lines)
-    inversions = _count_greater_before(prev)
-    t = np.arange(n, dtype=np.int64)
-    distances = (t - prev) - inversions
+    distances = _nested_reuse_counts(prev)
+    np.subtract(np.arange(n, dtype=np.int64), distances, out=distances)
+    distances -= prev
     distances[prev < 0] = -1
     return distances
 
@@ -331,7 +416,7 @@ def _count_writebacks(lines, distances, is_write, capacity_lines: int) -> int:
     if not is_write.any():
         return 0
     miss = (distances < 0) | (distances > capacity_lines)
-    order = np.argsort(lines, kind="stable")
+    order = _stable_order(lines)
     periods = np.cumsum(miss[order])
     return int(np.unique(periods[is_write[order]]).size)
 
@@ -378,7 +463,7 @@ def set_associative_stats(
         raise ValueError("cache size must be a multiple of line size * associativity")
     lines = np.asarray(lines, dtype=np.int64)
     num_sets = cache_size // (line_size * associativity)
-    order = np.argsort(lines % num_sets, kind="stable")
+    order = _stable_order(lines % num_sets)
     grouped = lines[order]
     distances = stack_distances(grouped)
     stats = _stats_from_distances(distances, associativity, conflict=True)
@@ -424,7 +509,7 @@ def set_associative_policy_stats(
         return stats
     num_sets = cache_size // (line_size * associativity)
     sets = lines % num_sets
-    order = np.argsort(sets, kind="stable")
+    order = _stable_order(sets)
     grouped = lines[order]
     grouped_sets = sets[order]
     writes = np.asarray(is_write, dtype=bool)[order] if is_write is not None else None

@@ -6,10 +6,13 @@ stack distances, histograms, fully associative and set-associative (LRU)
 statistics, and the hierarchy simulation behind :class:`DineroSimulator`.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api.registry import get_kernel
 from repro.isl.veceval import check_backend
 from repro.scop import ScopBuilder
 from repro.scop.schedule import tile_scop
@@ -23,6 +26,7 @@ from repro.simulator import (
     TraceGenerator,
     simulate_fully_associative,
 )
+from repro.simulator import vectorized
 from repro.simulator.vectorized import (
     distance_histogram,
     fully_associative_stats,
@@ -79,6 +83,117 @@ def test_vectorized_profiler_edge_cases():
     assert distance_histogram([3, 3, 3]) == {None: 1, 1: 2}
     assert misses_for_capacity([0, 1, 0, 1], 0) == (2, 2)
     assert misses_for_capacity([0, 1, 0, 1], 2) == (2, 0)
+
+
+# ----------------------------------------------------------------------
+# The blocked count behind stack_distances
+# ----------------------------------------------------------------------
+def _per_level_stack_distances(lines):
+    """Stack distances by the per-level merge count over the whole trace.
+
+    The algorithm the blocked count replaced, kept as its reference: the
+    dominance count ``#{s < t : prev[s] > prev[t]}`` runs ``log2 n`` merge
+    levels over the trace padded to a power of two.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    n = lines.shape[0]
+    order = np.argsort(lines, kind="stable")
+    sorted_lines = lines[order]
+    prev = np.full(n, -1, dtype=np.int64)
+    same = sorted_lines[1:] == sorted_lines[:-1]
+    prev[order[1:][same]] = order[:-1][same]
+    counts = np.zeros(n, dtype=np.int64)
+    size = 1
+    while size < n:
+        size *= 2
+    padded = np.full(size, -2, dtype=np.int64)
+    padded[:n] = prev
+    span = n + 2
+    block = 1
+    while block < size:
+        pair_count = size // (2 * block)
+        pairs = padded.reshape(pair_count, 2 * block)
+        pair_ids = np.arange(pair_count, dtype=np.int64)[:, None]
+        left_keys = (np.sort(pairs[:, :block], axis=1) + 2 + pair_ids * span).reshape(-1)
+        query_keys = (pairs[:, block:] + 2 + pair_ids * span).reshape(-1)
+        positions = np.searchsorted(left_keys, query_keys, side="right")
+        greater = block - (positions - np.repeat(pair_ids.reshape(-1) * block, block))
+        targets = np.arange(size, dtype=np.int64).reshape(pair_count, 2 * block)[:, block:].reshape(-1)
+        in_range = targets < n
+        counts[targets[in_range]] += greater[in_range]
+        block *= 2
+    distances = np.arange(n, dtype=np.int64) - prev - counts
+    distances[prev < 0] = -1
+    return distances
+
+
+def _block_size_of(lines):
+    """The block size :func:`stack_distances` chooses for ``lines``."""
+    chosen = []
+    count = vectorized._count_greater_within_blocks
+
+    def recording(values, block):
+        chosen.append(block)
+        return count(values, block)
+
+    with mock.patch.object(vectorized, "_count_greater_within_blocks", recording):
+        stack_distances(lines)
+    return chosen[0]
+
+
+def _assert_matches_profiler(lines):
+    lines = list(lines)
+    reference = StackDistanceProfiler().profile(lines)
+    assert stack_distances(lines).tolist() == [-1 if d is None else d for d in reference]
+    assert distance_histogram(lines) == StackDistanceProfiler().histogram(lines)
+
+
+@given(
+    st.integers(min_value=1_000, max_value=20_000),
+    st.integers(min_value=1, max_value=64),
+    st.sampled_from(["uniform", "sweep"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_blocked_count_matches_reference_on_long_traces(length, line_count, shape, seed):
+    """Long traces over few lines: blocks far shorter than the trace, and many
+    reuse edges crossing block boundaries."""
+    rng = np.random.default_rng(seed)
+    if shape == "uniform":
+        lines = rng.integers(0, line_count, length)
+    else:  # repeated sweeps with some noise
+        lines = np.arange(length) % line_count
+        noise = rng.random(length) < 0.1
+        lines[noise] = rng.integers(0, line_count, int(noise.sum()))
+    _assert_matches_profiler(lines.tolist())
+    assert _block_size_of(lines) < length
+
+
+def test_blocked_count_edge_cases():
+    _assert_matches_profiler(range(3000))  # no reuse
+    _assert_matches_profiler([7] * 3000)  # a single line
+    rng = np.random.default_rng(5)
+    for k in (10, 12):
+        for length in (2**k - 1, 2**k, 2**k + 1):
+            _assert_matches_profiler(rng.integers(0, 40, length).tolist())
+            _assert_matches_profiler((np.arange(length) % 33).tolist())
+
+
+def test_reuse_longer_than_half_the_trace_is_one_block():
+    """n = 2048 and all 1000 reuse intervals are longer than n/2, so every
+    reuse crosses the middle of the trace: no block size below n has a
+    crossing table of at most n/4 entries, and the whole trace is one block."""
+    lines = list(range(1000)) + list(range(1000, 1048)) + list(range(1000))
+    _assert_matches_profiler(lines)
+    assert _block_size_of(lines) >= len(lines)
+
+
+def test_blocked_count_equals_per_level_count_on_gemm_medium():
+    """gemm at ``medium``: 1.05 M accesses, blocks of 4096."""
+    scop = get_kernel("gemm").build("medium")
+    lines = trace_arrays(scop, line_size=64).line_indices()
+    assert lines.shape[0] == 1_052_160
+    assert np.array_equal(stack_distances(lines), _per_level_stack_distances(lines))
 
 
 # ----------------------------------------------------------------------
