@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .constraints import (
     Bound,
+    Constraint,
     ConstraintSystem,
     UnboundedSetError,
     bounds_for,
@@ -114,29 +115,36 @@ class _CountState:
             lowers, uppers, rest = bounds_for(system, inner)
         except ValueError as exc:  # pragma: no cover - defensive
             raise CountingError(str(exc)) from exc
-        lowers = _dedupe_bounds(lowers)
-        uppers = _dedupe_bounds(uppers)
-        if not lowers or not uppers:
+        # Everything that depends on one bound only is built once per bound,
+        # not once per (lower, upper) chamber: its value (``Bound.value``
+        # builds a fresh quasi-polynomial, possibly a new div, per call), the
+        # normalized constraints that make it the tight one, and the
+        # antiderivative at it.
+        lower_values = _distinct_values(lowers)
+        upper_values = _distinct_values(uppers)
+        if not lower_values or not upper_values:
             raise UnboundedSetError(f"count variable {inner} is unbounded")
+        lower_tight = [_extremal_constraints(lower_values, index, is_lower=True) for index in range(len(lower_values))]
+        upper_tight = [_extremal_constraints(upper_values, index, is_lower=False) for index in range(len(upper_values))]
+        antiderivative = poly.antiderivative(inner)
+        at_lower: List[Optional[QPoly]] = [None] * len(lower_values)
+        at_upper: List[Optional[QPoly]] = [None] * len(upper_values)
 
-        # Bound expressions are interned once up front: ``Bound.value`` builds
-        # a fresh quasi-polynomial (possibly a new div) on every call, and the
-        # chamber decomposition below would otherwise rebuild each one
-        # O(|lowers| x |uppers|) times.
-        lower_values = [b.value() for b in lowers]
-        upper_values = [b.value() for b in uppers]
-
+        base = ConstraintSystem(rest)
         results: List[Piece] = []
         for li, low_value in enumerate(lower_values):
             for ui, up_value in enumerate(upper_values):
-                case = ConstraintSystem(rest)
-                _add_extremal_constraints(case, low_value, li, lower_values, is_lower=True)
-                _add_extremal_constraints(case, up_value, ui, upper_values, is_lower=False)
+                case = base.copy()
+                for constraint in lower_tight[li] + upper_tight[ui]:
+                    case.add(constraint, pre_normalized=True)
                 case.add(ge(up_value - low_value, 0))
                 if case.has_trivially_false():
                     continue
-                summed = poly.sum_over(inner, low_value, up_value)
-                results.extend(self.count(case, list(outer), summed))
+                if at_lower[li] is None:
+                    at_lower[li] = antiderivative(low_value - 1)
+                if at_upper[ui] is None:
+                    at_upper[ui] = antiderivative(up_value)
+                results.extend(self.count(case, list(outer), at_upper[ui] - at_lower[li]))
         return results
 
     def _residue_split(
@@ -158,44 +166,26 @@ class _CountState:
         return results
 
 
-def _dedupe_bounds(bounds: List[Bound]) -> List[Bound]:
-    seen = []
-    values = set()
-    for bound in bounds:
-        key = (bound.value(), bound.is_lower)
-        if key in values:
-            continue
-        values.add(key)
-        seen.append(bound)
-    return seen
+def _distinct_values(bounds: List[Bound]) -> List[QPoly]:
+    """The bounds' values, each built once, first occurrences in order."""
+    return list(dict.fromkeys(bound.value() for bound in bounds))
 
 
-def _add_extremal_constraints(
-    case: ConstraintSystem,
-    chosen: QPoly,
-    index: int,
-    all_values: List[QPoly],
-    *,
-    is_lower: bool,
-) -> None:
-    """Constrain ``chosen`` to be the tight bound with disjoint tie-breaking.
+def _extremal_constraints(values: List[QPoly], index: int, *, is_lower: bool) -> List[Constraint]:
+    """Normalized constraints making ``values[index]`` the tight bound, with
+    disjoint tie-breaking.
 
-    For lower bounds ``chosen`` must be the maximum (ties resolved towards the
+    For lower bounds it must be the maximum (ties resolved towards the
     smallest index); for upper bounds the minimum.
     """
-    for other_index, other in enumerate(all_values):
+    chosen = values[index]
+    constraints = []
+    for other_index, other in enumerate(values):
         if other_index == index:
             continue
-        if is_lower:
-            if other_index < index:
-                case.add(ge(chosen - other - 1, 0))
-            else:
-                case.add(ge(chosen - other, 0))
-        else:
-            if other_index < index:
-                case.add(ge(other - chosen - 1, 0))
-            else:
-                case.add(ge(other - chosen, 0))
+        difference = chosen - other if is_lower else other - chosen
+        constraints.append(ge(difference - 1 if other_index < index else difference, 0).normalized())
+    return constraints
 
 
 # ----------------------------------------------------------------------

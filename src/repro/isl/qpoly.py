@@ -8,7 +8,7 @@ the Barvinok algorithm produces when counting parametric polytopes and what
 the HayStack cache model manipulates as symbolic stack distances.
 
 The module also provides Faulhaber summation (:func:`power_sum_poly` and
-:meth:`QPoly.sum_over`) which is the engine behind the symbolic point counting
+:meth:`QPoly.antiderivative`) which is the engine behind the symbolic point counting
 in :mod:`repro.isl.counting`.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Div",
@@ -404,12 +404,14 @@ class QPoly:
     # ------------------------------------------------------------------
     # Symbolic summation (Faulhaber)
     # ------------------------------------------------------------------
-    def sum_over(self, name: str, lower: "QPoly", upper: "QPoly") -> "QPoly":
-        """Return ``sum_{name=lower}^{upper} self`` as a quasi-polynomial.
+    def antiderivative(self, name: str) -> Callable[["QPoly"], "QPoly"]:
+        """Return ``A`` with ``A(upper) - A(lower - 1) == sum_{name=lower}^{upper} self``.
 
         ``self`` must be a polynomial in ``name`` (the variable must not occur
         inside div arguments); the caller is responsible for residue-splitting
-        divs beforehand.  The result is valid whenever ``lower <= upper``.
+        divs beforehand.  The difference is valid whenever ``lower <= upper``.
+        ``self`` is split by powers of ``name`` once; each call substitutes its
+        bound into the Faulhaber polynomials of those powers.
         """
         if self.degree_in_divs(name):
             raise ValueError(f"cannot sum over {name}: it occurs inside a div argument")
@@ -425,12 +427,14 @@ class QPoly:
             rest_mono = tuple(rest)
             partial = by_power.setdefault(power, QPoly())
             by_power[power] = partial + QPoly({rest_mono: coeff})
-        total = QPoly()
-        for power, factor in by_power.items():
-            prefix_upper = power_sum_poly(power).substitute({"n": upper})
-            prefix_lower = power_sum_poly(power).substitute({"n": lower - 1})
-            total = total + factor * (prefix_upper - prefix_lower)
-        return total
+
+        def at(bound: "QPoly") -> "QPoly":
+            total = QPoly()
+            for power, factor in by_power.items():
+                total = total + factor * power_sum_poly(power).substitute({"n": bound})
+            return total
+
+        return at
 
     def degree_in_divs(self, name: str) -> bool:
         for monomial in self.terms:

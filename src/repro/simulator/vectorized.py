@@ -9,18 +9,22 @@ pipeline on NumPy arrays:
 
 * **trace generation** — iteration domains are enumerated as index arrays
   (bounding box from the rational bounds, then vectorized constraint
-  filtering), schedule values become integer key matrices sorted with a
-  stable lexsort, and the affine address math is evaluated as exact integer
-  matrix operations;
+  filtering); each instance's schedule vector is packed, mixed-radix by the
+  value range of each position, into as few ``uint64`` words as fit (one
+  for every PolyBench kernel), which one stable ``lexsort`` orders; and the
+  affine address math is evaluated as exact integer array operations;
 * **stack-distance profiling** — the per-access binary-indexed-tree loop of
   the Bennett-Kruskal algorithm is replaced by an offline blocked count (no
-  Python-level per-access iteration): the stack distance of access ``t``
-  with previous occurrence ``p`` is ``(t - p) - #{s < t : prev[s] > p}``,
-  the number of reuse edges nested inside ``(p, t)``.  Inside blocks of
-  ``K`` accesses a bottom-up merge with batched ``searchsorted`` counts
-  them (``log2 K`` levels); across block boundaries one prefix sum and one
-  ``searchsorted`` into a sorted table of the edges crossing each boundary
-  do, the table held to at most ``n / 4`` entries by the choice of ``K``;
+  Python-level per-access iteration).  Accesses that repeat the line just
+  before them have distance 1 and are dropped first (a sixth to a quarter
+  of a PolyBench trace); removing them changes no other distance.  On the
+  rest, the stack distance of access ``t`` with previous occurrence ``p``
+  is ``(t - p) - #{s < t : prev[s] > p}``, the number of reuse edges
+  nested inside ``(p, t)``.  Inside blocks of ``K`` accesses a bottom-up
+  merge with batched ``searchsorted`` counts them (``log2 K`` levels);
+  across block boundaries one prefix sum and one ``searchsorted`` into a
+  sorted table of the edges crossing each boundary do, the table held to
+  at most ``n / 4`` entries by the choice of ``K``;
 * **hit/miss evaluation** — fully associative LRU statistics fall out of the
   distance array directly; set-associative LRU statistics reuse the same
   profiler on the trace grouped (stably) by set index; tree-PLRU and FIFO —
@@ -134,8 +138,7 @@ def trace_arrays(scop: Scop, *, line_size: int = 64, padded: bool = True) -> Tra
     layout = ArrayLayout(scop, line_size=line_size, padded=padded)
     schedule_length = scop.schedule_length()
 
-    per_statement: List[Tuple[Statement, Dict[str, "object"], int]] = []
-    counts: List[int] = []
+    per_statement: List[Tuple[Statement, Dict[str, "object"], int, list]] = []
     for statement in scop.statements:
         values = _enumerate_statement(statement)
         if "__count" in values:
@@ -143,43 +146,48 @@ def trace_arrays(scop: Scop, *, line_size: int = 64, padded: bool = True) -> Tra
             values = {}
         else:
             count = int(next(iter(values.values())).shape[0]) if values else 0
-        per_statement.append((statement, values, count))
-        counts.append(count)
+        per_statement.append((statement, values, count, _schedule_columns(statement, values, schedule_length)))
 
+    # Each instance's schedule vector becomes a few mixed-radix sort words
+    # (one for every PolyBench kernel), sized by the range of each position.
+    present = [columns for _, _, count, columns in per_statement if count]
+    ranges = [_value_range([columns[position] for columns in present]) for position in range(schedule_length)]
+    packing, word_count = _key_packing(ranges if present else [])
+    counts = [count for _, _, count, _ in per_statement]
     total_instances = sum(counts)
-    keys = np.zeros((total_instances, max(schedule_length, 1)), dtype=np.int64)
-    stmt_of = np.zeros(total_instances, dtype=np.int64)
-    row_of = np.zeros(total_instances, dtype=np.int64)
+    words = np.zeros((word_count, total_instances), dtype=np.uint64)
+    stmt_of = np.empty(total_instances, dtype=np.min_scalar_type(max(len(counts) - 1, 0)))
+    row_of = np.empty(total_instances, dtype=np.min_scalar_type(max(max(counts, default=0) - 1, 0)))
     offset = 0
-    for stmt_index, (statement, values, count) in enumerate(per_statement):
+    for stmt_index, (_, _, count, columns) in enumerate(per_statement):
         if not count:
             continue
         block = slice(offset, offset + count)
         stmt_of[block] = stmt_index
-        row_of[block] = np.arange(count, dtype=np.int64)
-        for position, expr in enumerate(statement.schedule_exprs(schedule_length)):
-            if expr.is_constant():
-                keys[block, position] = int(expr.constant_value())
-            else:
-                keys[block, position] = _eval_qpoly(expr, values)
+        row_of[block] = np.arange(count)
+        for place, column in zip(packing, columns):
+            if place is not None:
+                word, low, scale = place
+                words[word, block] += _digits(column, low, scale)
         offset += count
 
-    # Stable lexicographic sort on the schedule vectors: np.lexsort's last
-    # key is primary, so feed the columns reversed.  Ties keep concatenation
-    # order (statement order, then instance order), like the reference sort.
-    order = np.lexsort(tuple(keys[:, position] for position in reversed(range(keys.shape[1]))))
+    # Stable lexicographic sort on the words: np.lexsort's last key is
+    # primary, so feed them reversed.  Ties keep concatenation order
+    # (statement order, then instance order), like the reference sort.
+    order = np.lexsort(words[::-1]) if word_count else np.arange(total_instances)
+    del words
+    sorted_stmt = stmt_of[order]
+    sorted_row = row_of[order]
+    del order, stmt_of, row_of
 
-    access_counts_by_stmt = np.asarray([len(s.accesses) for s, _, _ in per_statement], dtype=np.int64)
-    per_instance_accesses = access_counts_by_stmt[stmt_of[order]]
-    starts = np.concatenate(([0], np.cumsum(per_instance_accesses)))
+    access_counts_by_stmt = np.asarray([len(s.accesses) for s, _, _, _ in per_statement], dtype=np.int64)
+    starts = np.zeros(total_instances + 1, dtype=np.int64)
+    np.cumsum(access_counts_by_stmt[sorted_stmt], out=starts[1:])
     total_accesses = int(starts[-1])
 
     addresses = np.zeros(total_accesses, dtype=np.int64)
     writes = np.zeros(total_accesses, dtype=bool)
-
-    sorted_stmt = stmt_of[order]
-    sorted_row = row_of[order]
-    for stmt_index, (statement, values, count) in enumerate(per_statement):
+    for stmt_index, (statement, values, count, _) in enumerate(per_statement):
         refs = statement.accesses
         if not count or not refs:
             continue
@@ -202,6 +210,68 @@ def trace_arrays(scop: Scop, *, line_size: int = 64, padded: bool = True) -> Tra
             addresses[slots] = element_addresses[rows]
             writes[slots] = ref.is_write
     return TraceArrays(addresses=addresses, is_write=writes, layout=layout, line_size=line_size)
+
+
+def _schedule_columns(statement: Statement, values: Dict[str, "object"], length: int) -> list:
+    """The statement's schedule over its instances, zero-padded to ``length``:
+    an ``int`` per static position, the loop variable's index array otherwise."""
+    columns = [entry if isinstance(entry, int) else values[entry] for entry in statement.schedule]
+    return columns + [0] * (length - len(columns))
+
+
+def _value_range(columns) -> Tuple[int, int]:
+    """Smallest and largest value of non-empty schedule columns."""
+    arrays = [column for column in columns if isinstance(column, np.ndarray)]
+    constants = [column for column in columns if not isinstance(column, np.ndarray)]
+    return (
+        min([int(array.min()) for array in arrays] + constants),
+        max([int(array.max()) for array in arrays] + constants),
+    )
+
+
+#: Values a ``uint64`` sort word can tell apart.
+_WORD_RANGE = 2**64
+
+
+def _key_packing(ranges: Sequence[Tuple[int, int]]) -> Tuple[List[Optional[Tuple[int, int, int]]], int]:
+    """Mixed-radix packing of key columns into as few ``uint64`` words as fit.
+
+    Column ``p`` holds values in ``ranges[p] = (low, high)``.  Columns of
+    one value order nothing and are left out; the others fill words in
+    order, while the product of a word's spans stays within 2^64, and each
+    adds the digit ``(value - low) * scale`` to its word, earlier columns
+    more significant.  Comparing the words lexicographically then compares
+    the columns lexicographically.  Returns ``(word, low, scale)`` or
+    ``None`` per column, and the number of words.
+    """
+    spans = [high - low + 1 for low, high in ranges]
+    groups: List[List[int]] = []
+    room = 0  # how many values the last word still has room for
+    for position, span in enumerate(spans):
+        if span == 1:
+            continue
+        if span > room:
+            groups.append([])
+            room = _WORD_RANGE
+        groups[-1].append(position)
+        room //= span
+    packing: List[Optional[Tuple[int, int, int]]] = [None] * len(spans)
+    for word, group in enumerate(groups):
+        scale = 1
+        for position in reversed(group):
+            packing[position] = (word, ranges[position][0], scale)
+            scale *= spans[position]
+    return packing, len(groups)
+
+
+def _digits(column, low: int, scale: int):
+    """``(column - low) * scale`` as ``uint64``: exact, as it is below 2^64,
+    though the ``int64`` difference may wrap on the way."""
+    if isinstance(column, np.ndarray):
+        digits = (column - low).astype(np.uint64)
+        digits *= np.uint64(scale)
+        return digits
+    return np.uint64((column - low) * scale)
 
 
 def _check_bounds(index, array, dim: int, statement: str) -> None:
@@ -346,6 +416,30 @@ def _count_greater_within_blocks(values, block):
     return counts[:n]
 
 
+def _drop_repeats(lines):
+    """Split off the accesses that repeat the line of the access before them.
+
+    Such an access has stack distance 1, and removing it changes no other
+    distance: the window of any later reuse that holds it also holds the
+    access before it, on the same line.  Returns the lines of the other
+    accesses, in order, and the mask of where they sit in ``lines``.
+    """
+    keep = np.empty(lines.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+    return lines[keep], keep
+
+
+def _distances_from_previous(prev):
+    """Stack distances (``-1`` for first touches) from the previous
+    occurrences: ``(t - p)`` minus the reuse edges nested inside ``(p, t)``."""
+    distances = _nested_reuse_counts(prev)
+    np.subtract(np.arange(prev.shape[0], dtype=np.int64), distances, out=distances)
+    distances -= prev
+    distances[prev < 0] = -1
+    return distances
+
+
 def stack_distances(lines) -> "object":
     """Backward stack distance of every access; ``-1`` for first touches.
 
@@ -353,36 +447,47 @@ def stack_distances(lines) -> "object":
     standing in for ``None``): the distance of access ``t`` with previous
     occurrence ``p`` is the number of distinct lines in ``(p, t)`` plus one,
     i.e. ``(t - p)`` minus the number of reuse edges fully inside ``(p, t)``
-    (:func:`_nested_reuse_counts`).
+    (:func:`_nested_reuse_counts`).  Accesses that repeat the line just
+    before them get distance 1 and are left out of the count
+    (:func:`_drop_repeats`); on PolyBench kernels at ``medium`` they are
+    17-26% of the trace.
 
-    Cost, for ``n`` accesses and block size ``K``: one stable sort for the
-    previous occurrences (radix when the lines span fewer than 2^16),
-    ``O(n)`` to choose ``K``, ``log2 K`` merge levels of ``O(n log n)``
-    each, and one sort and one search over the at most ``n / 4`` crossing
-    entries.  Memory peaks during the merge levels at about five int64
-    words per access besides ``lines``.  Measured numbers: the trace-fallback
-    bullet of ``docs/PERFORMANCE.md``.
+    Cost, for ``n`` accesses left after the repeats and block size ``K``:
+    one stable sort for the previous occurrences (radix when the lines span
+    fewer than 2^16), ``O(n)`` to choose ``K``, ``log2 K`` merge levels of
+    ``O(n log n)`` each, and one sort and one search over the at most
+    ``n / 4`` crossing entries.  Memory peaks during the merge levels at
+    about five int64 words per counted access besides ``lines``.  Measured
+    numbers: the trace-fallback bullet of ``docs/PERFORMANCE.md``.
     """
     lines = np.asarray(lines, dtype=np.int64)
-    n = lines.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    prev = _previous_occurrence(lines)
-    distances = _nested_reuse_counts(prev)
-    np.subtract(np.arange(n, dtype=np.int64), distances, out=distances)
-    distances -= prev
-    distances[prev < 0] = -1
+    kept, keep = _drop_repeats(lines)
+    counted = _distances_from_previous(_previous_occurrence(kept))
+    if kept.shape[0] == lines.shape[0]:
+        return counted
+    distances = np.ones(lines.shape[0], dtype=np.int64)
+    distances[keep] = counted
     return distances
 
 
 def distance_histogram(lines) -> Dict[Optional[int], int]:
     """Stack-distance histogram with the reference ``None`` bucket."""
-    distances = stack_distances(lines)
-    result: Dict[Optional[int], int] = {}
-    values, counts = np.unique(distances, return_counts=True)
-    for value, count in zip(values.tolist(), counts.tolist()):
-        result[None if value < 0 else value] = count
-    return result
+    lines = np.asarray(lines, dtype=np.int64)
+    kept, _ = _drop_repeats(lines)
+    return _histogram(_previous_occurrence(kept), lines.shape[0] - kept.shape[0])
+
+
+def _histogram(prev, repeats: int) -> Dict[Optional[int], int]:
+    """Histogram of the trace whose previous occurrences are ``prev`` (one
+    without same-line repeats) plus ``repeats`` accesses of distance 1, in
+    ascending distance order."""
+    shifted = _distances_from_previous(prev)
+    shifted += 1  # first touches at 0
+    counts = np.bincount(shifted, minlength=3)
+    del shifted
+    counts[2] += repeats
+    found = np.flatnonzero(counts)
+    return {(None if value == 0 else value - 1): count for value, count in zip(found.tolist(), counts[found].tolist())}
 
 
 def misses_for_capacity(lines, capacity_lines: int) -> Tuple[int, int]:
@@ -397,7 +502,7 @@ def _misses_from_distances(distances, capacity_lines: int) -> Tuple[int, int]:
     return compulsory, capacity
 
 
-def _count_writebacks(lines, distances, is_write, capacity_lines: int) -> int:
+def _count_writebacks(lines, distances, is_write, capacity_lines: int, *, line_order=None) -> int:
     """LRU write-backs over this trace, end-of-run flush included.
 
     Every miss starts a new residency period of its line (the line was not
@@ -407,26 +512,28 @@ def _count_writebacks(lines, distances, is_write, capacity_lines: int) -> int:
     still resident when the trace ends.  Grouping accesses stably by line
     makes periods contiguous runs, so one cumulative sum over the miss flags
     labels them and one ``unique`` over the written labels counts them.
+    ``line_order`` passes ``_stable_order(lines)`` when the caller has it.
     """
     is_write = np.asarray(is_write, dtype=bool)
     if not is_write.any():
         return 0
     miss = (distances < 0) | (distances > capacity_lines)
-    order = _stable_order(lines)
+    order = _stable_order(lines) if line_order is None else line_order
     periods = np.cumsum(miss[order])
     return int(np.unique(periods[is_write[order]]).size)
 
 
 def fully_associative_stats(
-    lines, cache_size: int, line_size: int = 64, *, is_write=None, distances=None
+    lines, cache_size: int, line_size: int = 64, *, is_write=None, distances=None, line_order=None
 ) -> CacheStatistics:
     """Statistics identical to :func:`simulate_fully_associative`.
 
     With ``is_write`` (a parallel bool array), ``writebacks`` is filled in
     under the hierarchy's end-of-run flush convention
     (:meth:`FullyAssociativeLRU.flush`); without it the counter stays zero.
-    ``distances`` passes ``stack_distances(lines)`` when the caller already
-    has them (levels of one line size differ only in capacity).
+    ``distances`` passes ``stack_distances(lines)`` and ``line_order`` the
+    stable order of ``lines`` when the caller already has them (levels of
+    one line size differ only in capacity).
     """
     if cache_size <= 0 or line_size <= 0:
         raise ValueError("cache and line size must be positive")
@@ -437,7 +544,9 @@ def fully_associative_stats(
         distances = stack_distances(lines)
     stats = _stats_from_distances(distances, cache_size // line_size, conflict=False)
     if is_write is not None:
-        stats.writebacks = _count_writebacks(lines, distances, is_write, cache_size // line_size)
+        stats.writebacks = _count_writebacks(
+            lines, distances, is_write, cache_size // line_size, line_order=line_order
+        )
     return stats
 
 
@@ -588,8 +697,9 @@ def simulate_hierarchy_arrays(trace: TraceArrays, configs: Sequence) -> Optional
     Every level observes the full trace (the inclusive model), so levels are
     independent.  Statistics — including ``writebacks`` — match
     :meth:`CacheHierarchySimulator.run` (which ends with a flush) for every
-    replacement policy.  Fully associative levels of one line size differ
-    only in capacity, so they share one :func:`stack_distances` pass.
+    replacement policy.  Levels of one line size share its line indices;
+    fully associative ones differ only in capacity, so they also share one
+    :func:`stack_distances` pass and one stable line order for write-backs.
     Returns ``None`` only when a level enables a prefetcher
     (``prefetch_degree > 0``): prefetches perturb replacement state
     mid-trace, which no offline pass expresses, so the caller falls back to
@@ -600,38 +710,39 @@ def simulate_hierarchy_arrays(trace: TraceArrays, configs: Sequence) -> Optional
     if any(getattr(config, "prefetch_degree", 0) for config in configs):
         return None
     results: List[Optional[CacheStatistics]] = [None] * len(configs)
-    fully_associative: Dict[int, List[int]] = {}
+    by_line_size: Dict[int, List[int]] = {}
     for index, config in enumerate(configs):
-        if config.associativity is None:
-            fully_associative.setdefault(config.line_size, []).append(index)
-        elif config.policy == ReplacementPolicy.LRU:
-            results[index] = set_associative_stats(
-                trace.line_indices(config.line_size),
-                config.cache_size,
-                config.line_size,
-                config.associativity,
-                is_write=trace.is_write,
-            )
-        else:
-            results[index] = set_associative_policy_stats(
-                trace.line_indices(config.line_size),
-                config.cache_size,
-                config.line_size,
-                config.associativity,
-                policy=config.policy,
-                is_write=trace.is_write,
-            )
-    for line_size, indices in fully_associative.items():
+        by_line_size.setdefault(config.line_size, []).append(index)
+    for line_size, indices in by_line_size.items():
         lines = trace.line_indices(line_size)
-        distances = stack_distances(lines)
+        distances = line_order = None
         for index in indices:
-            results[index] = fully_associative_stats(
-                lines,
-                configs[index].cache_size,
-                line_size,
-                is_write=trace.is_write,
-                distances=distances,
-            )
+            config = configs[index]
+            if config.associativity is None:
+                if distances is None:
+                    distances = stack_distances(lines)
+                    line_order = _stable_order(lines) if trace.is_write.any() else None
+                results[index] = fully_associative_stats(
+                    lines,
+                    config.cache_size,
+                    line_size,
+                    is_write=trace.is_write,
+                    distances=distances,
+                    line_order=line_order,
+                )
+            elif config.policy == ReplacementPolicy.LRU:
+                results[index] = set_associative_stats(
+                    lines, config.cache_size, line_size, config.associativity, is_write=trace.is_write
+                )
+            else:
+                results[index] = set_associative_policy_stats(
+                    lines,
+                    config.cache_size,
+                    line_size,
+                    config.associativity,
+                    policy=config.policy,
+                    is_write=trace.is_write,
+                )
     return results
 
 
@@ -643,6 +754,17 @@ def trace_model_curve(scop: Scop, *, line_size: int) -> Dict[Optional[int], int]
 
     One trace generation plus one profiling pass answer *every* capacity: the
     histogram's suffix sums are the whole miss curve, so a 64-point sweep
-    costs the same as a single fixed-capacity fallback analysis.
+    costs the same as a single fixed-capacity fallback analysis.  The line
+    indices are divided in place out of the trace's addresses (its write
+    flags are dropped), the full-length lines are dropped as soon as the
+    same-line repeats are split off, and the remaining lines as soon as
+    their previous occurrences are known.
     """
-    return distance_histogram(trace_arrays(scop, line_size=line_size, padded=True).line_indices())
+    lines = trace_arrays(scop, line_size=line_size, padded=True).addresses
+    np.floor_divide(lines, line_size, out=lines)
+    kept, _ = _drop_repeats(lines)
+    repeats = lines.shape[0] - kept.shape[0]
+    del lines
+    prev = _previous_occurrence(kept)
+    del kept
+    return _histogram(prev, repeats)

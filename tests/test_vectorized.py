@@ -6,6 +6,7 @@ stack distances, histograms, fully associative and set-associative (LRU)
 statistics, and the hierarchy simulation behind :class:`DineroSimulator`.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.simulator.vectorized import (
     set_associative_stats,
     stack_distances,
     trace_arrays,
+    trace_model_curve,
 )
 
 line_traces = st.lists(st.integers(min_value=0, max_value=24), min_size=0, max_size=250)
@@ -83,6 +85,39 @@ def test_vectorized_profiler_edge_cases():
     assert distance_histogram([3, 3, 3]) == {None: 1, 1: 2}
     assert misses_for_capacity([0, 1, 0, 1], 0) == (2, 2)
     assert misses_for_capacity([0, 1, 0, 1], 2) == (2, 0)
+
+
+#: Traces of runs of one line, each access of a run with its own write flag.
+line_runs = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=15), st.lists(st.booleans(), min_size=1, max_size=12)),
+    min_size=0,
+    max_size=40,
+)
+
+
+@given(line_runs, st.sampled_from([(8, 2), (16, 4), (4, 1)]))
+@settings(max_examples=60, deadline=None)
+def test_same_line_runs_match_reference(runs, geometry):
+    """Accesses repeating the line just before them are left out of the
+    count; distances, histogram and statistics with write-backs must not
+    notice."""
+    accesses = [(line, is_write) for line, writes in runs for is_write in writes]
+    trace = [line for line, _ in accesses]
+    writes = [is_write for _, is_write in accesses]
+    reference = StackDistanceProfiler().profile(trace)
+    assert stack_distances(trace).tolist() == [-1 if d is None else d for d in reference]
+    assert distance_histogram(trace) == StackDistanceProfiler().histogram(trace)
+
+    lines, ways = geometry
+    full = FullyAssociativeLRU(lines * 64, 64)
+    cache = SetAssociativeCache(lines * 64, 64, ways, policy=ReplacementPolicy.LRU)
+    for line, is_write in accesses:
+        full.access_line(line, is_write=is_write)
+        cache.access_line(line, is_write=is_write)
+    full.flush()
+    cache.flush()
+    assert fully_associative_stats(trace, lines * 64, 64, is_write=writes).as_dict() == full.stats.as_dict()
+    assert set_associative_stats(trace, lines * 64, 64, ways, is_write=writes).as_dict() == cache.stats.as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +313,67 @@ def test_trace_arrays_match_reference_on_tiled_scop():
     assert trace_arrays(scop, line_size=64).addresses.tolist() == reference
 
 
+def _packed_order(columns):
+    """Sort order of the key ``columns`` (most significant first) through
+    the packed words :func:`trace_arrays` sorts on."""
+    packing, word_count = vectorized._key_packing([(int(column.min()), int(column.max())) for column in columns])
+    words = np.zeros((word_count, columns[0].shape[0]), dtype=np.uint64)
+    for place, column in zip(packing, columns):
+        if place is not None:
+            word, low, scale = place
+            words[word] += vectorized._digits(column, low, scale)
+    return np.lexsort(words[::-1]), packing, word_count
+
+
+def test_key_packing_orders_like_lexsort_on_raw_columns():
+    """Negative values, a constant column, and spans whose product is far
+    above 2^64: the packed words must give np.lexsort's order on the raw
+    columns, ties included."""
+    rng = np.random.default_rng(3)
+    size = 5000
+    columns = [
+        rng.integers(-5, 3, size),
+        np.full(size, -7),
+        rng.integers(-(2**40), 2**40, size),
+        rng.integers(-3, 0, size),
+        rng.integers(-(2**35), 2**35, size),
+    ]
+    order, packing, word_count = _packed_order(columns)
+    assert word_count == 2
+    assert packing[1] is None
+    assert np.array_equal(order, np.lexsort(columns[::-1]))
+
+    # Few distinct vectors, so most of them tie: the order must stay stable.
+    small = [rng.integers(-2, 2, size), rng.integers(-4, -1, size), np.full(size, 9)]
+    order, _, word_count = _packed_order(small)
+    assert word_count == 1
+    assert np.array_equal(order, np.lexsort(small[::-1]))
+
+    # One column spanning all of int64 fills a word on its own.
+    extreme = np.asarray([2**63 - 1, -(2**63), 0, -1, 1, 2**63 - 1, -(2**63)], dtype=np.int64)
+    columns = [np.asarray([1, 0, 1, 0, 1, 0, 0]), extreme, np.asarray([3, 2, 1, 0, 3, 2, 1])]
+    order, _, word_count = _packed_order(columns)
+    assert word_count == 3
+    assert np.array_equal(order, np.lexsort(columns[::-1]))
+
+
+def test_trace_model_curve_peak_memory_per_access():
+    """Memory guard on the trace fallback: 3mm at ``small`` (246,732
+    accesses) measured 29.8 bytes per access at its tracemalloc peak (52.0
+    with a schedule-key matrix and without dropping same-line repeats)."""
+    scop = get_kernel("3mm").build("small")
+    trace_model_curve(scop, line_size=64)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        histogram = trace_model_curve(scop, line_size=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    accesses = sum(histogram.values())
+    assert accesses == 246_732
+    assert peak / accesses <= 32.8
+
+
 def test_trace_arrays_bounds_check():
     builder = ScopBuilder("oob", context={"N": 4}, element_size=8)
     A = builder.array("A", (4,))
@@ -331,6 +427,44 @@ def test_fully_associative_levels_share_one_distance_pass(monkeypatch):
     assert stats == singles
     assert stats == [level.as_dict() for level in python_result.levels]
     assert any(level["writebacks"] for level in stats)
+
+
+def test_hierarchy_shares_line_indices_and_line_order(monkeypatch):
+    """Levels of one line size share one line-index division, and fully
+    associative ones one stable line order for write-backs: three of them
+    sort no more often than one does."""
+    scop = _gemm(6)
+    set_associative = CacheLevelConfig(cache_size=16 * 64, line_size=64, associativity=4)
+    one = [CacheLevelConfig(cache_size=8 * 64, line_size=64, associativity=None), set_associative]
+    three = [CacheLevelConfig(cache_size=lines * 64, line_size=64, associativity=None) for lines in (2, 8, 32)]
+    three.append(set_associative)
+
+    divisions = []
+    sorts = []
+    line_indices = vectorized.TraceArrays.line_indices
+    stable_order = vectorized._stable_order
+
+    def counting_line_indices(self, line_size=None):
+        divisions.append(line_size)
+        return line_indices(self, line_size)
+
+    def counting_stable_order(values):
+        sorts.append(len(values))
+        return stable_order(values)
+
+    monkeypatch.setattr(vectorized.TraceArrays, "line_indices", counting_line_indices)
+    monkeypatch.setattr(vectorized, "_stable_order", counting_stable_order)
+    results = {}
+    for name, levels in (("one", one), ("three", three)):
+        divisions.clear()
+        sorts.clear()
+        stats = [level.as_dict() for level in DineroSimulator(levels, backend="numpy").run(scop).levels]
+        assert divisions == [64]
+        results[name] = len(sorts)
+        python_stats = DineroSimulator(levels, backend="python").run(scop).levels
+        assert stats == [level.as_dict() for level in python_stats]
+        assert all(level["writebacks"] for level in stats)
+    assert results["three"] == results["one"]
 
 
 @pytest.mark.parametrize("policy", [ReplacementPolicy.TREE_PLRU, ReplacementPolicy.FIFO])
