@@ -31,7 +31,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import Session
 from repro.core import CacheLevelSpec, MachineModel, ModelOptions, ModelResult
+from repro.core.model import PROGRAM_MEMO
 from repro.engine.batch import default_worker_count
+from repro.isl.constraints import _FEASIBILITY_CACHE
 from repro.scop import Scop, ScopBuilder
 from repro.simulator import CacheLevelConfig, DineroSimulator
 from repro.simulator.vectorized import misses_for_capacity, trace_arrays
@@ -314,7 +316,9 @@ def run_models(
     """Analyse several kernels through the session façade (parallel workers).
 
     Results are memoised across benchmark modules on the job identity, so a
-    kernel analysed by one figure is free for every later figure.  Ordering
+    kernel analysed by one figure is free for every later figure; a job that
+    does run starts from cold per-process memos, so the phase seconds it
+    reports (Figure 11) time the program, not an earlier figure's run.  Ordering
     is deterministic: results come back in argument order regardless of the
     worker count.
     """
@@ -322,6 +326,7 @@ def run_models(
     specs = session.scops(*scops).specs()
     missing = [spec for spec in specs if spec.key() not in _RESULTS]
     if missing:
+        _clear_memos()
         batch = session.run(missing)
         for spec, record in zip(missing, batch.records):
             if not record.ok or record.result is None:
@@ -355,7 +360,21 @@ def reference_misses(scop: Scop, cache_lines: int, line_size: int = LINE) -> Tup
     return misses_for_capacity(arrays.line_indices(), cache_lines)
 
 
+def _clear_memos() -> None:
+    """Empty the per-process program and feasibility memos before a timed run."""
+    PROGRAM_MEMO.clear()
+    _FEASIBILITY_CACHE.clear()
+
+
 def timed(fn, *args, **kwargs):
+    """``(fn(*args, **kwargs), seconds)`` from cold per-process memos.
+
+    The program memo (:data:`repro.core.model.PROGRAM_MEMO`) and the
+    feasibility memo are emptied first, so a figure that times one scop
+    under several configurations in one process times the program each
+    time, not the history of earlier runs.
+    """
+    _clear_memos()
     start = time.perf_counter()
     value = fn(*args, **kwargs)
     return value, time.perf_counter() - start

@@ -24,7 +24,6 @@ quasi-polynomial)`` over the statement's loop variables — the paper's
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -105,20 +104,16 @@ class StackDistanceAnalysis:
         self.line_size = line_size
         self.prev_builder = PrevMapBuilder(scop, line_size=line_size)
         self.schedule_length = scop.schedule_length()
-        #: Wall-clock seconds spent in the stack-distance phase (Figure 11).
-        self.elapsed_seconds: float = 0.0
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def analyze(self) -> List[AccessDistances]:
-        start = time.perf_counter()
         prev_maps = self.prev_builder.all_prev_regions()
         witnesses = self._witnesses(prev_maps)
         results = []
         for access in self.prev_builder.accesses:
             results.append(self._distances_for(access, prev_maps, witnesses))
-        self.elapsed_seconds = time.perf_counter() - start
         return results
 
     # ------------------------------------------------------------------

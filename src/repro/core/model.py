@@ -26,27 +26,96 @@ Each analysis job runs with a fresh memoizing cardinality cache
 (:mod:`repro.engine.cache`) shared across first-touch and capacity counts of
 all hierarchy levels; its hit/miss statistics are reported in
 :class:`~repro.core.results.TimingBreakdown`.
+
+Everything about a program that does not depend on the capacity grid is
+computed once per process and kept in :data:`PROGRAM_MEMO`: the outcome of
+the stack-distance stages (the distances and their work units, or the
+failure they raised) and the trace histogram of each numeric backend.  A new
+capacity sweep of a program seen before pays only the capacity phase.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..engine.cache import CardinalityCache
 from ..isl.counting import CountingError
 from ..isl.veceval import check_backend
 from ..isl.work import BudgetExhausted, WorkBudget, active_budget
-from ..scop.scop import Scop
+from ..scop.scop import Scop, program_fingerprint
 from .capacity import CapacityCounter
 from .config import MachineModel
 from .curve import MissCurve
-from .distance import StackDistanceAnalysis
+from .distance import AccessDistances, StackDistanceAnalysis
 from .prevmap import ModelFallbackRequired
 from .results import AccessMissCounts, LevelMissCounts, ModelResult, TimingBreakdown
 
-__all__ = ["CacheModel", "ModelOptions", "SymbolicProbe"]
+__all__ = ["CacheModel", "ModelOptions", "PROGRAM_MEMO", "ProgramMemo", "SymbolicProbe"]
+
+
+@dataclass(frozen=True)
+class _DistanceOutcome:
+    """What the stack-distance stages (2 and 3) did on one program.
+
+    ``need`` is the number of work units they are known to cost: the exact
+    count when they finished (``distances``) or raised
+    :class:`~repro.core.prevmap.ModelFallbackRequired` (``failure``, its
+    message), and ``limit + 1`` when a budget of ``limit`` units tripped,
+    in which case neither is known.  Every charge is one unit, so a budget
+    below ``need`` trips at exactly ``limit + 1``.
+    """
+
+    need: int
+    distances: Optional[List[AccessDistances]] = None
+    failure: Optional[str] = None
+
+
+class ProgramMemo:
+    """Bounded, thread-safe, per-process memo of capacity-independent work.
+
+    Keyed by :func:`~repro.scop.program_fingerprint` plus the line size.
+    Each entry holds up to one ``"distances"`` value (a
+    :class:`_DistanceOutcome`) and one trace histogram per numeric backend
+    (``("trace", backend)``), so a ``python``-backend run never reads the
+    ``numpy`` histogram.  The least recently used program goes once more
+    than ``capacity`` programs are held.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Hashable, Dict[Hashable, object]]" = OrderedDict()
+
+    def get(self, key: Hashable, part: Hashable):
+        """The stored ``part`` of program ``key``, or ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry.get(part)
+
+    def put(self, key: Hashable, part: Hashable, value) -> None:
+        """Store ``part`` of program ``key``, evicting the oldest program."""
+        with self._lock:
+            entry = self._entries.setdefault(key, {})
+            self._entries.move_to_end(key)
+            entry[part] = value
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+#: The process's program memo (see :class:`ProgramMemo`).
+PROGRAM_MEMO = ProgramMemo(16)
 
 
 @dataclass(frozen=True)
@@ -196,7 +265,7 @@ class CacheModel:
         start = time.perf_counter()
         try:
             with active_budget(budget):
-                result = self._analyze_symbolic(scop)
+                result = self._analyze_symbolic(scop, budget)
         except (ModelFallbackRequired, BudgetExhausted) as exc:
             exc.work_units_charged = budget.used
             exc.attempt_seconds = time.perf_counter() - start
@@ -247,10 +316,45 @@ class CacheModel:
             grid.add(max(1, int(size) // self.machine.line_size))
         return sorted(grid)
 
-    def _analyze_symbolic(self, scop: Scop) -> ModelResult:
+    def _program_key(self, scop: Scop) -> Tuple:
+        return (program_fingerprint(scop), self.machine.line_size)
+
+    def _stack_distances(self, scop: Scop, budget: WorkBudget) -> List[AccessDistances]:
+        """Stages 2-3 under ``budget``, replayed from :data:`PROGRAM_MEMO`.
+
+        A known outcome is replayed with the units and exception a fresh run
+        would give: a budget below the known need trips at ``limit + 1``, a
+        finished run leaves ``budget.used`` at its count (stage 4 charges on
+        from there), a fallback re-raises its message.  A budget trip only
+        bounds the need from below, so a larger budget recomputes.
+        """
+        key = self._program_key(scop)
+        known: Optional[_DistanceOutcome] = PROGRAM_MEMO.get(key, "distances")
+        if known is not None:
+            if budget.limit is not None and budget.limit < known.need:
+                budget.used = budget.limit
+                budget.charge()
+            if known.distances is not None or known.failure is not None:
+                budget.used = known.need
+                if known.failure is not None:
+                    raise ModelFallbackRequired(known.failure)
+                return known.distances
+        try:
+            distances = StackDistanceAnalysis(scop, line_size=self.machine.line_size).analyze()
+        except BudgetExhausted:
+            PROGRAM_MEMO.put(key, "distances", _DistanceOutcome(budget.used))
+            raise
+        except ModelFallbackRequired as exc:
+            PROGRAM_MEMO.put(key, "distances", _DistanceOutcome(budget.used, failure=str(exc)))
+            raise
+        PROGRAM_MEMO.put(key, "distances", _DistanceOutcome(budget.used, distances=distances))
+        return distances
+
+    def _analyze_symbolic(self, scop: Scop, budget: WorkBudget) -> ModelResult:
         line_size = self.machine.line_size
-        analysis = StackDistanceAnalysis(scop, line_size=line_size)
-        distances = analysis.analyze()
+        distance_start = time.perf_counter()
+        distances = self._stack_distances(scop, budget)
+        stack_distance_seconds = time.perf_counter() - distance_start
 
         capacity_start = time.perf_counter()
         # One counting pass serves every capacity: per-access and per-level
@@ -318,7 +422,7 @@ class CacheModel:
         )
         store = getattr(cardinality_cache, "store", None)
         timing = TimingBreakdown(
-            stack_distance_seconds=analysis.elapsed_seconds,
+            stack_distance_seconds=stack_distance_seconds,
             capacity_seconds=capacity_seconds,
             cardinality_cache_hits=cardinality_cache.stats.hits,
             cardinality_cache_misses=cardinality_cache.stats.misses,
@@ -373,20 +477,7 @@ class CacheModel:
     # ------------------------------------------------------------------
     def _analyze_by_trace(self, scop: Scop, *, used_fallback: bool) -> ModelResult:
         start = time.perf_counter()
-        # The full distance histogram costs the same one profiling pass as
-        # the per-level counts did, and its suffix sums are the entire miss
-        # curve — exact at every capacity, so the fallback answers arbitrary
-        # sweeps as cheaply as the hierarchy.
-        if check_backend(self.options.backend) == "numpy":
-            from ..simulator.vectorized import trace_model_curve
-
-            histogram = trace_model_curve(scop, line_size=self.machine.line_size)
-        else:
-            from ..simulator.lru import StackDistanceProfiler
-            from ..simulator.trace import TraceGenerator
-
-            generator = TraceGenerator(scop, line_size=self.machine.line_size, padded=True)
-            histogram = StackDistanceProfiler().histogram(generator.line_trace())
+        histogram = self._trace_histogram(scop)
         miss_curve = MissCurve.from_histogram(
             histogram, line_size=self.machine.line_size, exact=True
         )
@@ -399,6 +490,34 @@ class CacheModel:
             used_fallback=used_fallback,
             miss_curve=miss_curve,
         )
+
+    def _trace_histogram(self, scop: Scop) -> Mapping[Optional[int], int]:
+        """The program's stack-distance histogram, once per backend and process.
+
+        The full histogram costs the same one profiling pass as the per-level
+        counts did, and its suffix sums are the entire miss curve — exact at
+        every capacity, so the fallback answers arbitrary sweeps as cheaply
+        as the hierarchy, and a known program answers them from
+        :data:`PROGRAM_MEMO` without a trace.
+        """
+        backend = check_backend(self.options.backend)
+        key = self._program_key(scop)
+        histogram = PROGRAM_MEMO.get(key, ("trace", backend))
+        if histogram is not None:
+            return histogram
+        if backend == "numpy":
+            from ..simulator.vectorized import trace_model_curve
+
+            histogram = trace_model_curve(scop, line_size=self.machine.line_size)
+        else:
+            from ..simulator.lru import StackDistanceProfiler
+            from ..simulator.trace import TraceGenerator
+
+            generator = TraceGenerator(scop, line_size=self.machine.line_size, padded=True)
+            histogram = StackDistanceProfiler().histogram(generator.line_trace())
+        histogram = MappingProxyType(histogram)
+        PROGRAM_MEMO.put(key, ("trace", backend), histogram)
+        return histogram
 
     # ------------------------------------------------------------------
     # Validation helpers

@@ -128,6 +128,12 @@ class TimingBreakdown:
     ``other_seconds``: the failed symbolic attempt plus the trace.  Its
     ``stack_distance_seconds`` and ``capacity_seconds`` stay 0, and
     ``total_seconds`` still covers the job.
+
+    A program seen before in the same process is answered from the
+    program memo (:data:`repro.core.model.PROGRAM_MEMO`).  Such a result
+    reports the program's deterministic ``work_units_charged``, the same as
+    a fresh process, but only the seconds actually spent: a replayed
+    stack-distance phase or trace costs next to nothing.
     """
 
     stack_distance_seconds: float = 0.0

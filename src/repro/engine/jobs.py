@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..scop import Scop
+from ..scop import Scop, program_fingerprint
 
 __all__ = ["JobSpec", "expand_matrix"]
 
@@ -59,35 +59,13 @@ class JobSpec:
     def key(self) -> Tuple:
         """Hashable identity used for result memoization.
 
-        For scop-backed jobs the key is a full structural fingerprint —
-        size context, arrays (shape and element size), and per statement the
-        loop variables, iteration-domain constraints, and access expressions
-        — so two same-named scops never alias unless they describe the same
-        program.
+        For scop-backed jobs the key holds the scop's full structural
+        fingerprint (:func:`repro.scop.program_fingerprint`: size context,
+        arrays, and per statement the loop variables, iteration domain,
+        schedule and access expressions), so two same-named scops never
+        alias unless they describe the same program.
         """
-        scop_identity: Tuple = ()
-        if self.scop is not None:
-            scop_identity = (
-                tuple(sorted(self.scop.context.items())),
-                tuple(
-                    (array.name, array.shape, array.element_size)
-                    for array in sorted(self.scop.arrays.values(), key=lambda a: a.name)
-                ),
-                tuple(
-                    (
-                        statement.name,
-                        statement.loop_vars,
-                        frozenset(
-                            (c.kind, c.expr._canonical_items()) for c in statement.domain.constraints
-                        ),
-                        tuple(
-                            (ref.array.name, ref.is_write, ref.indices)
-                            for ref in statement.accesses
-                        ),
-                    )
-                    for statement in self.scop.statements
-                ),
-            )
+        scop_identity = program_fingerprint(self.scop) if self.scop is not None else ()
         return (
             self.kernel,
             self.dataset if self.scop is None else None,

@@ -136,9 +136,11 @@ def _calibrate() -> float:
     The workload is deterministic (same kernel, same machine model, no
     store), so the measurement tracks machine speed only.  Reports carry it
     so wall-time comparisons can be normalized across machines.  One warm-up
-    run is excluded, then a fixed number of fresh analyses are timed.
+    run is excluded, then a fixed number of fresh analyses are timed, each
+    from an empty program memo so it runs every stage.
     """
     from ..api import Session
+    from ..core.model import PROGRAM_MEMO
     from ..scop import ScopBuilder
 
     builder = ScopBuilder("calibration", context={"N": 10, "M": 9}, element_size=64)
@@ -150,10 +152,13 @@ def _calibrate() -> float:
     scop = builder.build()
     session = Session().machine((1024, 8192))
     session.analyze(scop)
-    start = time.perf_counter()
+    elapsed = 0.0
     for _ in range(_CALIBRATION_ROUNDS):
+        PROGRAM_MEMO.clear()
+        start = time.perf_counter()
         session.analyze(scop)
-    return time.perf_counter() - start
+        elapsed += time.perf_counter() - start
+    return elapsed
 
 
 def _trace_workload_scop(size: int):
@@ -285,6 +290,7 @@ def _run_curve_workload(config: Dict) -> Dict:
     """
     from ..api import Session
     from ..core import CacheModel, ModelOptions
+    from ..core.model import PROGRAM_MEMO
 
     size = int(config.get("size", 32))
     points = int(config.get("points", 64))
@@ -295,15 +301,18 @@ def _run_curve_workload(config: Dict) -> Dict:
 
     # Warm process-wide state (Faulhaber tables, interpreter specialization)
     # with one untimed full-size run, so the single-vs-sweep ratio measures
-    # the sweep and not whichever analysis happened to go first.
+    # the sweep and not whichever analysis happened to go first.  Both timed
+    # runs start from an empty program memo: each is a full analysis.
     Session().machine(machine).no_store().analyze(_curve_workload_scop(size))
 
     session = Session().machine(machine).no_store()
+    PROGRAM_MEMO.clear()
     start = time.perf_counter()
     single = session.analyze(scop)
     single_seconds = time.perf_counter() - start
 
     sweep_session = Session().machine(machine).no_store().sweep(capacities=sweep)
+    PROGRAM_MEMO.clear()
     start = time.perf_counter()
     swept = sweep_session.analyze(scop)
     sweep_seconds = time.perf_counter() - start
@@ -581,6 +590,7 @@ def _run_explore_workload(config: Dict) -> Dict:
     committed baseline.
     """
     from ..api import Session
+    from ..core.model import PROGRAM_MEMO
     from ..scop.schedule import tile_scop
     from ..sweep import log_spaced
 
@@ -599,21 +609,25 @@ def _run_explore_workload(config: Dict) -> Dict:
     def grid_session() -> Session:
         return Session().machine((max(capacities),)).no_store()
 
+    PROGRAM_MEMO.clear()
     start = time.perf_counter()
     result = grid_session().explore(scop, tiles=tiles, capacities=capacities)
     grid_seconds = time.perf_counter() - start
     digest = result.table_digest()
 
     # The independent side gets the tiled variants for free: it pays one
-    # full analysis per configuration, nothing else.
+    # full analysis per configuration (from an empty program memo), nothing
+    # else.
     variants = {tile: tile_scop(scop, tile) if tile > 1 else scop for tile in tiles}
-    start = time.perf_counter()
+    independent_seconds = 0.0
     independent = 0
     for tile in tiles:
         for capacity in capacities:
+            PROGRAM_MEMO.clear()
+            start = time.perf_counter()
             Session().machine((capacity,)).no_store().analyze(variants[tile])
+            independent_seconds += time.perf_counter() - start
             independent += 1
-    independent_seconds = time.perf_counter() - start
 
     backends_match = all(
         grid_session().backend(backend).explore(scop, tiles=tiles, capacities=capacities).table_digest() == digest

@@ -1,7 +1,7 @@
 """Static control program representation, builder DSL and kernels."""
 
 from .builder import ArrayHandle, ScopBuilder, affine
-from .scop import AccessRef, Array, Scop, SourceLoc, Statement
+from .scop import AccessRef, Array, Scop, SourceLoc, Statement, program_fingerprint
 
 __all__ = [
     "AccessRef",
@@ -12,4 +12,5 @@ __all__ = [
     "SourceLoc",
     "Statement",
     "affine",
+    "program_fingerprint",
 ]

@@ -22,7 +22,7 @@ from ..isl.constraints import ConstraintSystem, enumerate_points
 from ..isl.counting import cardinality
 from ..isl.qpoly import QPoly
 
-__all__ = ["AccessRef", "Array", "Scop", "SourceLoc", "Statement", "ScheduleEntry"]
+__all__ = ["AccessRef", "Array", "Scop", "SourceLoc", "Statement", "ScheduleEntry", "program_fingerprint"]
 
 
 #: A schedule entry is either a static position (int) or a loop variable name.
@@ -229,3 +229,33 @@ class Scop:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Scop({self.name!r}, {len(self.statements)} statements, {len(self.arrays)} arrays)"
+
+
+def program_fingerprint(scop: Scop) -> Tuple:
+    """Hashable structural identity of the program a scop describes.
+
+    Holds the size context, the arrays (shape and element size) and, per
+    statement, its name, loop variables, iteration-domain constraints,
+    schedule and access expressions: everything that decides the trace and
+    therefore every miss count.  The scop's name and source locations are
+    left out, so two scops compare equal exactly when they describe the same
+    program.  :meth:`repro.engine.jobs.JobSpec.key` and the per-process
+    program memo of :mod:`repro.core.model` both key on it.
+    """
+    return (
+        tuple(sorted(scop.context.items())),
+        tuple(
+            (array.name, array.shape, array.element_size)
+            for array in sorted(scop.arrays.values(), key=lambda a: a.name)
+        ),
+        tuple(
+            (
+                statement.name,
+                statement.loop_vars,
+                frozenset((c.kind, c.expr._canonical_items()) for c in statement.domain.constraints),
+                statement.schedule,
+                tuple((ref.array.name, ref.is_write, ref.indices) for ref in statement.accesses),
+            )
+            for statement in scop.statements
+        ),
+    )

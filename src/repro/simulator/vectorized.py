@@ -293,12 +293,15 @@ def _stable_order(values):
 
     The sort runs on ``values - values.min()`` in the narrowest unsigned
     dtype that holds the span: the map is monotone, so the order is the
-    same, and spans below 2^16 get NumPy's radix sort.
+    same, and spans below 2^16 get NumPy's radix sort.  The subtraction runs
+    in that dtype, wrapping modulo its range, which is exact because every
+    difference fits; no full-width copy of ``values`` is made.
     """
     if not values.shape[0]:
         return np.empty(0, dtype=np.intp)
-    low = int(values.min())
-    keys = (values - low).astype(np.min_scalar_type(int(values.max()) - low))
+    low = values.min()
+    dtype = np.min_scalar_type(int(values.max()) - int(low))
+    keys = np.subtract(values, low, dtype=dtype, casting="unsafe")
     return np.argsort(keys, kind="stable")
 
 

@@ -92,6 +92,37 @@ class TestStableDigest:
         assert job_digest(a) == job_digest(b)
         assert job_digest(a) != job_digest(c)
 
+    def test_scop_backed_job_digest_tracks_schedules(self):
+        # The same two loops distributed (S1 after all of S0) and fused (S1
+        # right after S0 in each iteration) differ only in S1's schedule and
+        # miss differently, so they must never share a store entry.
+        def program(s1_schedule):
+            from repro.frontend import parser
+
+            text = (
+                "kernel sched\ndataset mini { N = 8 }\narray A[N] elem 64\narray B[N] elem 64\n"
+                "S0: { [i] : 0 <= i < N }\n    schedule [0, i, 0]\n    B[i] = A[i]\n"
+                f"S1: {{ [i] : 0 <= i < N }}\n    schedule {s1_schedule}\n    A[i] = B[i]\n"
+            )
+            kernel = parser.parse_kernel(text)
+            return kernel.instantiate(kernel.dataset_sizes("mini"))
+
+        distributed, fused = program("[1, i, 0]"), program("[0, i, 1]")
+        a = JobSpec(kernel="sched", scop=distributed, levels=(512,))
+        b = JobSpec(kernel="sched", scop=fused, levels=(512,))
+        assert a.key() != b.key()
+        assert job_digest(a) != job_digest(b)
+        machine = MachineModel(levels=(CacheLevelSpec(512),))
+        misses = [
+            (level.compulsory, level.capacity)
+            for scop in (distributed, fused)
+            for level in CacheModel(machine, ModelOptions(symbolic_work_budget=1)).analyze(scop).level_results
+        ]
+        assert misses == [(16, 16), (16, 0)]
+
+    def test_registry_job_digest_is_pinned(self):
+        assert job_digest(JobSpec(kernel="gemm")) == "b3eaa812cbe0f20594db70933125369ca9c02aa673e12a3a69c2ebf491ad247f"
+
     def test_digest_stable_across_hash_seeds(self):
         # Frozenset iteration order depends on PYTHONHASHSEED; the digest
         # must not.  Recompute in subprocesses with forced distinct seeds.
