@@ -362,7 +362,7 @@ def _monomial_variables(monomial) -> Set[str]:
     names: Set[str] = set()
     for sym, _ in monomial:
         if isinstance(sym, Div):
-            names |= {v for v in sym.argument().free_variables()}
+            names |= sym.free_variables()
         else:
             names.add(sym)
     return names
@@ -372,7 +372,7 @@ def _monomial_degree_given(monomial, fixed: Set[str]) -> int:
     degree = 0
     for sym, exp in monomial:
         if isinstance(sym, Div):
-            free = sym.argument().free_variables()
+            free = sym.free_variables()
             if free and free.issubset(fixed):
                 continue
         elif sym in fixed:

@@ -8,11 +8,11 @@ lists of systems by the higher layers.
 The module provides the operations the cache model pipeline needs:
 
 * normalisation to integer coefficients,
-* substitution,
-* integer rows with one Fourier-Motzkin engine on them, used for the
-  feasibility checks that prune empty pieces (with the gcd tightening of
-  each inequality), for enumeration ranges and for the exact projection of
-  the parametric lexicographic optimisation,
+* substitution, as a column update on each constraint's integer row,
+* integer rows with interval propagation and one Fourier-Motzkin engine on
+  them, used for the feasibility checks that prune empty pieces (with the
+  gcd tightening of each row), for enumeration ranges and for the exact
+  projection of the parametric lexicographic optimisation,
 * bound extraction for a variable (used by symbolic counting and by the
   parametric lexicographic optimisation), and
 * explicit enumeration of integer points (test oracle and partial-enumeration
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .qpoly import Div, QPoly, Symbol, floor_div
+from .qpoly import Div, QPoly, Symbol, _symbol_sort_key, floor_div
 from .work import charge as _charge_work
 
 __all__ = [
@@ -115,26 +115,38 @@ class Constraint:
             row = self._row = (self.kind == EQ, tuple(coeffs), const)
         return row
 
+    @staticmethod
+    def _from_row(row: ConstraintRow) -> "Constraint":
+        """The normalized constraint whose integer row is ``row``, built without a ``QPoly`` pass."""
+        is_eq, coeffs, const = row
+        items = tuple((((sym, 1),), Fraction(c)) for sym, c in coeffs)
+        if const:
+            items = (((), Fraction(const)),) + items
+        constraint = Constraint.__new__(Constraint)
+        constraint.expr = QPoly.from_canonical(items)
+        constraint.kind = EQ if is_eq else INEQ
+        constraint._normalized = constraint
+        constraint._row = row
+        constraint._hash = None
+        return constraint
+
     def substitute(self, assignment: Mapping[str, Union[QPoly, int, Fraction]]) -> "Constraint":
         return Constraint(self.expr.substitute(assignment), self.kind)
 
     def negate(self) -> List["Constraint"]:
-        """Return constraints describing the integer complement.
+        """Return normalized constraints describing the integer complement.
 
         ``expr >= 0`` negates to ``-expr - 1 >= 0``.  ``expr == 0`` negates to
         the *disjunction* ``expr >= 1 or -expr >= 1``; the two branches are
         returned as a list and it is the caller's responsibility to build the
-        union.
+        union.  Works on the normalized integer row.
         """
-        if self.kind == INEQ:
-            return [Constraint(-self.expr - 1, INEQ)]
-        return [Constraint(self.expr - 1, INEQ), Constraint(-self.expr - 1, INEQ)]
-
-    def is_trivially_true(self) -> bool:
-        if not self.expr.is_constant():
-            return False
-        value = self.expr.constant_value()
-        return value == 0 if self.kind == EQ else value >= 0
+        is_eq, coeffs, const = self.normalized().row
+        negated = {sym: -a for sym, a in coeffs}
+        below = _normalized_constraint(False, negated, -const - 1)
+        if not is_eq:
+            return [below]
+        return [_normalized_constraint(False, dict(coeffs), const - 1), below]
 
     def normalized(self) -> "Constraint":
         """Scale to coprime integer coefficients (and tighten inequalities).
@@ -157,28 +169,9 @@ class Constraint:
                 return self
             # A constant keeps its truth value scaled to an integer.
             return Constraint(QPoly.constant(const.numerator), self.kind)
-        denominators = [c.denominator for c in coeffs.values()] + [const.denominator]
-        lcm = 1
-        for d in denominators:
-            lcm = lcm * d // math.gcd(lcm, d)
-        scaled = {sym: c * lcm for sym, c in coeffs.items()}
-        scaled_const = const * lcm
-        gcd = 0
-        for c in scaled.values():
-            gcd = math.gcd(gcd, abs(c.numerator))
-        if gcd > 1:
-            scaled = {sym: Fraction(c.numerator // gcd) for sym, c in scaled.items()}
-            if self.kind == INEQ:
-                scaled_const = Fraction(scaled_const.numerator // (gcd * scaled_const.denominator))
-            else:
-                if scaled_const.numerator % gcd:
-                    # Equality with non-divisible constant: keep as is; the
-                    # system will be detected infeasible elsewhere.
-                    scaled = {sym: c * gcd for sym, c in scaled.items()}
-                else:
-                    scaled_const = scaled_const / gcd
-        expr = QPoly.from_affine(scaled, scaled_const)
-        return Constraint(expr, self.kind)
+        lcm = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
+        scaled = {sym: c.numerator * (lcm // c.denominator) for sym, c in coeffs.items()}
+        return _normalized_constraint(self.kind == EQ, scaled, const.numerator * (lcm // const.denominator))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         op = "=" if self.kind == EQ else ">="
@@ -241,7 +234,7 @@ class ConstraintSystem:
         #: For inequalities: coefficient part of the row -> index into
         #: ``constraints``; used to keep only the tightest bound per direction.
         self._ineq_by_coeffs: Dict[Tuple, int] = {}
-        #: Whether some constraint is a false constant.
+        #: Whether some constraint is a false constant or an integer-empty equality.
         self._false = False
         self._row_set: Optional[frozenset] = None
         if constraints:
@@ -252,13 +245,14 @@ class ConstraintSystem:
     # Construction helpers
     # ------------------------------------------------------------------
     def add(self, constraint: Constraint, *, pre_normalized: bool = False) -> None:
-        if constraint.is_trivially_true():
-            return
         normalized = constraint if pre_normalized else constraint.normalized()
         row = normalized.row
         if row in self._keys:
             return
         is_eq, coeffs, const = row
+        if not coeffs and (const == 0 if is_eq else const >= 0):
+            # Trivially true: normalizing a constant keeps its truth value.
+            return
         if coeffs and not is_eq:
             # Keep only the tightest inequality per coefficient direction:
             # a.x + c1 >= 0 subsumes a.x + c2 >= 0 whenever c1 <= c2.
@@ -271,8 +265,10 @@ class ConstraintSystem:
             else:
                 self.constraints[existing_index] = normalized
         else:
-            if not coeffs:
-                # A constant that is not trivially true is false.
+            if not coeffs or const % math.gcd(*(c for _, c in coeffs)):
+                # A constant that is not trivially true is false, and so is an
+                # equality whose coefficient gcd does not divide its constant
+                # (the Omega test's normalization): it has no integer point.
                 self._false = True
             self.constraints.append(normalized)
         self._keys.add(row)
@@ -302,7 +298,38 @@ class ConstraintSystem:
         return clone
 
     def substitute(self, assignment: Mapping[str, Union[QPoly, int, Fraction]]) -> "ConstraintSystem":
-        return ConstraintSystem(c.substitute(assignment) for c in self.constraints)
+        """The system with variables replaced simultaneously by values.
+
+        Gives the same constraints, in the same order, as substituting each
+        constraint's ``QPoly`` and normalising it.  A constraint that mentions
+        no replaced variable is kept as it is.  Otherwise the values are
+        applied to its integer row as a column update over one common
+        denominator, and the row is normalised like
+        :meth:`Constraint.normalized`.  A div whose argument mentions a
+        replaced variable is a column too, its floor re-simplified once per
+        call (``floor_div`` of the substituted argument).  Only a constraint
+        that meets a non-affine value goes through ``QPoly``, which rejects it.
+        """
+        names = frozenset(assignment)
+        columns, denominator = _integer_replacements(assignment)
+        out = ConstraintSystem()
+        for constraint in self.constraints:
+            row = constraint.row
+            touched = rebuild = False
+            for sym, _ in row[1]:
+                if sym not in columns and not isinstance(sym, str) and not names.isdisjoint(sym.free_variables()):
+                    value = floor_div(sym.argument().substitute(assignment), sym.denominator)
+                    columns[sym] = _column(*value.affine_coefficients(), denominator)
+                if sym in columns:
+                    touched = True
+                    rebuild = rebuild or columns[sym] is None
+            if rebuild:
+                out.add(constraint.substitute(assignment))
+            elif touched:
+                out.add(_column_update(row, columns, denominator), pre_normalized=True)
+            else:
+                out.add(constraint, pre_normalized=True)
+        return out
 
     # ------------------------------------------------------------------
     # Introspection
@@ -340,7 +367,7 @@ class ConstraintSystem:
                 if div in seen:
                     continue
                 seen.add(div)
-                if div.argument().free_variables() & name_set:
+                if not name_set.isdisjoint(div.free_variables()):
                     found.append(div)
         return found
 
@@ -349,6 +376,73 @@ class ConstraintSystem:
 
     def __len__(self) -> int:
         return len(self.constraints)
+
+
+#: A replacement value as integer ``((symbol, coefficient), ...)`` and
+#: constant, over the common denominator of the whole assignment; ``None``
+#: for a non-affine value.
+_Column = Optional[Tuple[Tuple[Tuple[Symbol, int], ...], int]]
+
+
+def _integer_replacements(assignment: Mapping[str, Union[QPoly, int, Fraction]]) -> Tuple[Dict[Symbol, _Column], int]:
+    """Every replacement value of ``assignment`` as a column, and their common denominator."""
+    affine: Dict[str, Tuple[Dict[Symbol, Fraction], Fraction]] = {}
+    columns: Dict[Symbol, _Column] = {}
+    for name, value in assignment.items():
+        poly = value if isinstance(value, QPoly) else QPoly.constant(value)
+        if poly.is_affine():
+            affine[name] = poly.affine_coefficients()
+        else:
+            columns[name] = None
+    denominator = math.lcm(1, *(c.denominator for coeffs, const in affine.values() for c in (const, *coeffs.values())))
+    for name, (coeffs, const) in affine.items():
+        columns[name] = _column(coeffs, const, denominator)
+    return columns, denominator
+
+
+def _column(coeffs: Mapping[Symbol, Fraction], const: Fraction, denominator: int) -> _Column:
+    """``denominator`` times an affine value, as integers (``denominator`` must clear it)."""
+    return tuple((sym, (c * denominator).numerator) for sym, c in coeffs.items()), (const * denominator).numerator
+
+
+def _column_update(row: ConstraintRow, columns: Dict[Symbol, _Column], denominator: int) -> Constraint:
+    """The normalized constraint of ``row`` with the columns of its replaced symbols substituted.
+
+    With every value scaled by ``denominator`` the update is plain integer
+    arithmetic on ``denominator`` times the substituted expression.
+    """
+    is_eq, coeffs, const = row
+    const *= denominator
+    merged: Dict[Symbol, int] = {}
+    for sym, a in coeffs:
+        column = columns.get(sym)
+        if column is None:
+            merged[sym] = merged.get(sym, 0) + a * denominator
+            continue
+        for other, b in column[0]:
+            merged[other] = merged.get(other, 0) + a * b
+        const += a * column[1]
+    return _normalized_constraint(is_eq, merged, const, denominator)
+
+
+def _normalized_constraint(is_eq: bool, coeffs: Mapping[Symbol, int], const: int, scale: int = 1) -> Constraint:
+    """The normalized constraint of ``(coeffs . x + const) / scale`` compared against zero.
+
+    Normalizes like :meth:`Constraint.normalized`: an inequality is divided
+    by the gcd ``g`` of its coefficients with its constant floored, an
+    equality by ``g`` when ``g`` divides its constant; otherwise the row
+    becomes the smallest integral multiple of the expression.  Built straight
+    from the integer row, without a ``QPoly`` pass.
+    """
+    coeffs = {sym: c for sym, c in coeffs.items() if c}
+    g = math.gcd(*coeffs.values())
+    divisor = g if g and (not is_eq or const % g == 0) else math.gcd(scale, g, const)
+    if divisor > 1:
+        coeffs = {sym: c // divisor for sym, c in coeffs.items()}
+        const //= divisor
+    ordered = tuple(sorted(coeffs.items(), key=lambda item: _symbol_sort_key(item[0])))
+    return Constraint._from_row((is_eq, ordered, const))
+
 
 # ----------------------------------------------------------------------
 # Bounds
@@ -427,17 +521,22 @@ _MAX_VARS = 24
 def feasible_rational(system: ConstraintSystem) -> bool:
     """Sound emptiness pruning: ``False`` means definitely integer-empty.
 
-    Decides rational feasibility with per-row gcd tightening.  Every div is
-    renamed to a fresh variable bounded by its two defining rows, the system
-    becomes integer rows, and Fourier-Motzkin eliminates every variable,
+    Every div is renamed to a fresh variable bounded by its two defining
+    rows and the system becomes integer rows.  Interval propagation over
+    those rows runs first (:func:`_refuted_by_bounds`); it rounds every
+    bound to an integer, so it refutes some systems that have rational
+    points.  When it cannot decide, Fourier-Motzkin eliminates every variable,
     substituting equalities first.  Each derived inequality is divided by
-    the gcd of its variable coefficients with its constant floored, which
-    keeps every integer point, so ``False`` is a proof of integer emptiness
-    and ``True`` may be a rationally feasible but integer-empty system: the
-    safe direction for pruning pieces.  Systems with more than ``_MAX_VARS``
-    variables, or whose elimination grows past ``_MAX_ROWS`` rows, answer
-    ``True``.  Results are memoised on the system's integer rows
-    (:meth:`ConstraintSystem.row_set`), never on constraint objects.
+    the gcd of its variable coefficients with its constant floored, and a
+    derived equality whose gcd does not divide its constant refutes the
+    system; both keep every integer point, so ``False`` is a proof of
+    integer emptiness and ``True`` may be an integer-empty system: the safe
+    direction for pruning pieces.  Systems with more than ``_MAX_VARS``
+    variables skip the elimination, and those whose elimination grows past
+    ``_MAX_ROWS`` rows stop it; both answer ``True``.  A system marked false
+    as it was built answers ``False`` without a unit.  Results are memoised
+    on the system's integer rows (:meth:`ConstraintSystem.row_set`), never
+    on constraint objects.
     """
     if system.has_trivially_false():
         return False
@@ -456,6 +555,8 @@ def feasible_rational(system: ConstraintSystem) -> bool:
 
 def _feasible_rational_uncached(system: ConstraintSystem) -> bool:
     columns, rows, _ = _integer_rows(system)
+    if _refuted_by_bounds(rows, len(columns)):
+        return False
     remaining = [j for j, col in enumerate(columns) if isinstance(col, str)]
     if len(remaining) > _MAX_VARS:
         return True
@@ -466,12 +567,80 @@ def _feasible_rational_uncached(system: ConstraintSystem) -> bool:
         j = min(remaining, key=lambda j: (occurrences[j], j))
         remaining.remove(j)
         eliminated = _eliminate(rows, j)
-        if eliminated is None:
+        # A derived equality whose coefficient gcd does not divide its
+        # constant has no integer point, as in ConstraintSystem.add.
+        if eliminated is None or any(is_eq and const % math.gcd(*coeffs) for is_eq, coeffs, const in eliminated):
             return False
         rows = eliminated
         if len(rows) > _MAX_ROWS:
             return True
     return True
+
+
+#: Rounds of interval propagation ahead of Fourier-Motzkin.
+_PROPAGATION_ROUNDS = 4
+
+
+def _refuted_by_bounds(rows: List[Row], width: int) -> bool:
+    """Whether interval propagation over the integer columns proves ``rows`` empty.
+
+    Each row ``a . x + c >= 0`` (an equality as two such rows) bounds each
+    column by the other columns' bounds, rounded inward since every column is
+    an integer, for up to ``_PROPAGATION_ROUNDS`` rounds.  Emptiness is
+    proved by a column whose lower bound passes its upper bound, or by a row
+    whose maximum over the bounds' box is negative.
+    """
+    lower: List[Optional[int]] = [None] * width
+    upper: List[Optional[int]] = [None] * width
+    sparse: List[Tuple[List[Tuple[int, int]], int]] = []
+    for is_eq, coeffs, const in rows:
+        terms = [(j, a) for j, a in enumerate(coeffs) if a]
+        sparse.append((terms, const))
+        if is_eq:
+            sparse.append(([(j, -a) for j, a in terms], -const))
+    for _ in range(_PROPAGATION_ROUNDS):
+        changed = False
+        for terms, const in sparse:
+            # The row's maximum over the box, with at most one unbounded term.
+            total = const
+            unbounded = None
+            for term in terms:
+                j, a = term
+                bound = upper[j] if a > 0 else lower[j]
+                if bound is not None:
+                    total += a * bound
+                elif unbounded is None:
+                    unbounded = term
+                else:
+                    break
+            else:
+                if unbounded is None:
+                    if total < 0:
+                        return True
+                    derived = terms
+                else:
+                    derived = (unbounded,)
+                for j, a in derived:
+                    # a * x_j >= -rest, where rest is the others' maximum.
+                    if unbounded is None:
+                        rest = total - a * (upper[j] if a > 0 else lower[j])
+                    else:
+                        rest = total
+                    if a > 0:
+                        bound = -(rest // a)
+                        if lower[j] is None or bound > lower[j]:
+                            lower[j] = bound
+                            changed = True
+                    else:
+                        bound = rest // -a
+                        if upper[j] is None or bound < upper[j]:
+                            upper[j] = bound
+                            changed = True
+                    if lower[j] is not None and upper[j] is not None and lower[j] > upper[j]:
+                        return True
+        if not changed:
+            break
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -597,74 +766,58 @@ def _integer_rows(
     columns, the rows and the fresh names.
     """
     name_set = None if names is None else set(names)
-    # Divs are keyed by int tokens while they sit in the rows.  Renaming
-    # retires a token: a copy of the same div surfacing later (nested in
+    # Ordered {column: coefficient} rows, from each constraint's cached row;
+    # a div is its own key until it is renamed.  Renaming replaces every
+    # occurrence, so a copy of the same div surfacing later (nested in
     # another div's argument) is a new div.
-    tokens: Dict[Div, int] = {}
-    divs: List[Div] = []
-
-    def key(sym: Symbol) -> Union[str, int]:
-        if isinstance(sym, str):
-            return sym
-        token = tokens.get(sym)
-        if token is None:
-            token = tokens[sym] = len(divs)
-            divs.append(sym)
-        return token
-
-    # Ordered {column: coefficient} rows, from each constraint's cached row.
-    sparse: List[Tuple[bool, Dict[Union[str, int], int], int]] = [
-        (is_eq, {key(sym): c for sym, c in coeffs}, const)
-        for is_eq, coeffs, const in (constraint.row for constraint in system.constraints)
+    sparse: List[Tuple[bool, Dict[Symbol, int], int]] = [
+        (is_eq, dict(coeffs), const) for is_eq, coeffs, const in (constraint.row for constraint in system.constraints)
     ]
     fresh: List[str] = []
     kept: set = set()
     while True:
-        token = next(
-            (k for _, coeffs, _ in sparse for k in coeffs if isinstance(k, int) and k not in kept),
+        div = next(
+            (k for _, coeffs, _ in sparse for k in coeffs if not isinstance(k, str) and k not in kept),
             None,
         )
-        if token is None:
+        if div is None:
             break
-        div = divs[token]
-        argument = div.argument()
-        variables = argument.free_variables()
-        if not (variables if name_set is None else variables & name_set):
-            kept.add(token)
+        variables = div.free_variables()
+        if not variables or (name_set is not None and name_set.isdisjoint(variables)):
+            kept.add(div)
             continue
-        del tokens[div]
         var = f"__q{len(fresh)}"
         fresh.append(var)
-        for index, (is_eq, coeffs, const) in enumerate(sparse):
-            if token in coeffs:
-                sparse[index] = (is_eq, {var if k == token else k: c for k, c in coeffs.items()}, const)
+        # Only the renamed rows and the defining rows mention ``var``.
+        renamed = []
+        for index, (_, coeffs, _) in enumerate(sparse):
+            if div in coeffs:
+                coeffs[var] = coeffs.pop(div)
+                renamed.append(index)
         # argument - d*var >= 0 and d - 1 - argument + d*var >= 0, scaled to
         # integers; divs nested in the argument surface here.
-        arg_coeffs, arg_const = argument.affine_coefficients()
-        lcm = math.lcm(arg_const.denominator, *(c.denominator for c in arg_coeffs.values()))
+        arg_coeffs, low_const, lcm = div.integer_argument()
         d = div.denominator
-        low = {key(sym): (c * lcm).numerator for sym, c in arg_coeffs.items()}
+        low = dict(arg_coeffs)
         low[var] = -d * lcm
-        low_const = (arg_const * lcm).numerator
         high = {k: -c for k, c in low.items()}
         for coeffs, const in ((low, low_const), (high, (d - 1) * lcm - low_const)):
             g = math.gcd(*coeffs.values())
-            coeffs = {k: c // g for k, c in coeffs.items()}
-            const //= g
-            index = next(
-                (i for i, (is_eq, other, _) in enumerate(sparse) if not is_eq and other == coeffs),
-                None,
-            )
+            if g > 1:
+                coeffs = {k: c // g for k, c in coeffs.items()}
+                const //= g
+            index = next((i for i in renamed if not sparse[i][0] and sparse[i][1] == coeffs), None)
             if index is None:
+                renamed.append(len(sparse))
                 sparse.append((False, coeffs, const))
             elif sparse[index][2] > const:
                 sparse[index] = (False, coeffs, const)
     used = dict.fromkeys(k for _, coeffs, _ in sparse for k in coeffs)
-    keys: List[Union[str, int]] = sorted(k for k in used if isinstance(k, str))
-    keys += [k for k in used if not isinstance(k, str)]
+    columns: List[Symbol] = sorted(k for k in used if isinstance(k, str))
+    columns += [k for k in used if not isinstance(k, str)]
     zeros = itertools.repeat(0)
-    rows = [(is_eq, tuple(map(coeffs.get, keys, zeros)), const) for is_eq, coeffs, const in sparse]
-    return [k if isinstance(k, str) else divs[k] for k in keys], rows, fresh
+    rows = [(is_eq, tuple(map(coeffs.get, columns, zeros)), const) for is_eq, coeffs, const in sparse]
+    return columns, rows, fresh
 
 
 # ----------------------------------------------------------------------

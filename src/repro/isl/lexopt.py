@@ -20,13 +20,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .constraints import (
-    EQ,
-    INEQ,
-    Constraint,
     ConstraintSystem,
     UnboundedSetError,
     _eliminate,
     _integer_rows,
+    _normalized_constraint,
     bounds_for,
     feasible_rational,
     ge,
@@ -143,13 +141,10 @@ def _project_inner(system: ConstraintSystem, head: str, tail: List[str]) -> Opti
         rows = _eliminate(rows, j)
         if rows is None:
             return None
-    return ConstraintSystem(
-        Constraint(
-            QPoly.from_affine({col: a for col, a in zip(columns, coeffs) if a}, const),
-            EQ if is_eq else INEQ,
-        )
-        for is_eq, coeffs, const in rows
-    )
+    projected = ConstraintSystem()
+    for is_eq, coeffs, const in rows:
+        projected.add(_normalized_constraint(is_eq, dict(zip(columns, coeffs)), const), pre_normalized=True)
+    return projected
 
 
 def _constrain_extremal(

@@ -47,19 +47,22 @@ class Div:
     produced by :meth:`QPoly._canonical_items`.  ``denominator`` is a positive
     integer.  Divs may be nested (the argument may itself contain divs).
 
-    Instances are immutable by convention.  The hash and the sort key (the
-    ``repr``) are computed once and cached; pickling rebuilds a div from
-    ``items`` and ``denominator`` only, so a cached string hash never
-    crosses into a process with a different hash seed.
+    Instances are immutable by convention.  The hash, the sort key (the
+    ``repr``), the free variables and the integer argument are computed once
+    and cached; pickling rebuilds a div from ``items`` and ``denominator``
+    only, so a cached string hash never crosses into a process with a
+    different hash seed.
     """
 
-    __slots__ = ("items", "denominator", "_hash", "_sort_key")
+    __slots__ = ("items", "denominator", "_hash", "_sort_key", "_variables", "_integer_argument")
 
     def __init__(self, items: Tuple[Tuple["Monomial", Fraction], ...], denominator: int) -> None:
         self.items = items
         self.denominator = denominator
         self._hash: Optional[int] = None
         self._sort_key: Optional[str] = None
+        self._variables: Optional[frozenset] = None
+        self._integer_argument: Optional[Tuple[Tuple[Tuple["Symbol", int], ...], int, int]] = None
 
     def argument(self) -> "QPoly":
         """Return the argument of the floor as a :class:`QPoly`."""
@@ -67,6 +70,30 @@ class Div:
 
     def symbols(self) -> set:
         return self.argument().symbols()
+
+    def free_variables(self) -> frozenset:
+        """The variable names in the argument, nested divs included; computed once."""
+        names = self._variables
+        if names is None:
+            names = self._variables = frozenset(self.argument().free_variables())
+        return names
+
+    def integer_argument(self) -> Tuple[Tuple[Tuple["Symbol", int], ...], int, int]:
+        """``(((symbol, coefficient), ...), constant, m)``: ``m`` times the affine argument.
+
+        ``m`` is the lcm of the argument's denominators, so every entry is an
+        integer; symbols are in canonical order.  Computed once.
+        """
+        result = self._integer_argument
+        if result is None:
+            coeffs, const = self.argument().affine_coefficients()
+            m = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
+            result = self._integer_argument = (
+                tuple((sym, (c * m).numerator) for sym, c in coeffs.items()),
+                (const * m).numerator,
+                m,
+            )
+        return result
 
     def sort_key(self) -> str:
         """The ``repr``, which orders divs among the symbols of a monomial."""
@@ -176,6 +203,18 @@ class QPoly:
         return QPoly({((name, 1),): Fraction(1)})
 
     @staticmethod
+    def from_canonical(items: Tuple[Tuple[Monomial, Fraction], ...]) -> "QPoly":
+        """The polynomial of ``items``, already canonical: sorted, non-zero ``Fraction`` coefficients.
+
+        Skips the checks of the constructor; the canonical form is taken as given.
+        """
+        poly = QPoly.__new__(QPoly)
+        poly.terms = dict(items)
+        poly._items = items
+        poly._hash = None
+        return poly
+
+    @staticmethod
     def from_affine(coeffs: Mapping[Symbol, Number], const: Number = 0) -> "QPoly":
         terms: Dict[Monomial, Fraction] = {}
         for sym, coeff in coeffs.items():
@@ -244,13 +283,12 @@ class QPoly:
     def free_variables(self) -> set:
         """All string variables appearing directly or inside (nested) divs."""
         result: set = set()
-        stack: List[Symbol] = list(self.symbols())
-        while stack:
-            sym = stack.pop()
-            if isinstance(sym, str):
-                result.add(sym)
-            else:
-                stack.extend(sym.argument().symbols())
+        for monomial in self.terms:
+            for sym, _ in monomial:
+                if isinstance(sym, str):
+                    result.add(sym)
+                else:
+                    result |= sym.free_variables()
         return result
 
     def involves(self, name: str) -> bool:

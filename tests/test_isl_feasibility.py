@@ -1,26 +1,31 @@
 """The integer-row feasibility engine: soundness, pinned verdicts, and work charging.
 
 ``feasible_rational`` prunes pieces, so its one hard obligation is
-soundness: ``False`` must mean integer-empty.  Beyond that its verdicts, and
-the ranges ``variable_range`` hands to enumeration, must equal those of the
-Fourier-Motzkin loop over ``QPoly`` constraints that the integer rows
-replaced, because verdicts decide pieces and work units; that loop, with its
-div expansion, stays here as the reference.  The pinned verdicts fix the engine's rational
-semantics (gcd tightening of inequalities, scaled equality substitution, the
-variable cut-off) and the work-unit contract, and the pinned pieces hold the
-whole stack-distance pipeline's output on two kernels byte for byte.
+soundness: ``False`` must mean integer-empty.  Beyond that it must refute
+every system the Fourier-Motzkin loop over ``QPoly`` constraints that the
+integer rows replaced refutes (bound propagation may refute more), and the
+ranges ``variable_range`` hands to enumeration must equal that loop's; the
+loop, with its div expansion, stays here as the reference.  The pinned
+verdicts fix the engine's semantics (gcd tightening of inequalities,
+integer-empty equalities, scaled equality substitution, the variable
+cut-off) and the work-unit contract, and the pinned pieces hold the whole
+stack-distance pipeline's output on two kernels byte for byte.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from test_model_vs_simulator import build_copy_kernel, build_stencil_1d
+from test_program_memo import SYMBOLIC_MACHINE, _knl_scop
 
+from repro.core import CacheModel, ModelOptions
 from repro.core.distance import StackDistanceAnalysis
+from repro.core.model import PROGRAM_MEMO
 from repro.engine.store import stable_digest
-from repro.isl import constraints
+from repro.isl import constraints, lexopt
 from repro.isl.constraints import (
     EQ,
     INEQ,
@@ -197,8 +202,15 @@ def _range_or_none(function, *args):
 @settings(max_examples=300, deadline=None)
 def test_verdicts_and_ranges_match_the_qpoly_reference(case, which, keep_one):
     system, box = case
-    assert feasible_rational(system) == _reference_feasible(system)
     names = list(box)
+    verdict = feasible_rational(system)
+    # Bound propagation is stronger than the rational reference, so the
+    # verdict is pinned from both sides: never False on a system with an
+    # integer point, always False where the reference proves emptiness.
+    if any(_satisfied(system, dict(zip(names, values))) for values in itertools.product(*box.values())):
+        assert verdict
+    if not _reference_feasible(system):
+        assert not verdict
     name = names[which % len(names)]
     # Keeping a variable keeps the divs that mention only it as parameters.
     others = [n for n in names if n != name][: -1 if keep_one else None]
@@ -208,12 +220,99 @@ def test_verdicts_and_ranges_match_the_qpoly_reference(case, which, keep_one):
 
 
 # ----------------------------------------------------------------------
+# Substitution on integer rows
+# ----------------------------------------------------------------------
+@st.composite
+def substitutions(draw):
+    """Affine rows with (maybe nested) divs, and replacement values of every kind."""
+    names = ["x", "y", "z"]
+
+    def affine(over=names):
+        expr = QPoly.constant(draw(st.integers(min_value=-5, max_value=5)))
+        for name in over:
+            expr = expr + QPoly.variable(name) * draw(coefficients)
+        return expr
+
+    def div():
+        argument = affine()
+        if draw(st.booleans()):
+            argument = argument + floor_div(affine(), draw(st.integers(min_value=2, max_value=4)))
+        return floor_div(argument, draw(st.integers(min_value=2, max_value=5)))
+
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        expr = affine() + (div() * draw(coefficients) if draw(st.booleans()) else 0)
+        rows.append(Constraint(expr, EQ if draw(st.booleans()) else INEQ))
+    values = {
+        "int": lambda: draw(st.integers(min_value=-4, max_value=4)),
+        "fraction": lambda: Fraction(draw(st.integers(min_value=-4, max_value=4)), draw(st.integers(1, 3))),
+        "affine": lambda: affine(names + ["w"]),
+        "scaled": lambda: affine(["w", "x"]) * Fraction(1, draw(st.integers(min_value=2, max_value=3))),
+        "div": lambda: affine(["w"]) + div(),
+        "non-affine": lambda: QPoly.variable("w") * QPoly.variable("x"),
+    }
+    assignment = {}
+    for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)):
+        assignment[name] = values[draw(st.sampled_from(sorted(values)))]()
+    return ConstraintSystem(rows), assignment
+
+
+def _substituted(substitute, system, assignment):
+    try:
+        result = substitute(system, assignment)
+    except ValueError:
+        return "non-affine"
+    return [c.row for c in result.constraints], list(result.constraints), result.has_trivially_false()
+
+
+@given(substitutions())
+@settings(max_examples=400, deadline=None)
+def test_row_substitution_matches_the_qpoly_path(case):
+    system, assignment = case
+
+    def per_constraint(system, assignment):
+        return ConstraintSystem(c.substitute(assignment) for c in system.constraints)
+
+    assert _substituted(ConstraintSystem.substitute, system, assignment) == _substituted(
+        per_constraint, system, assignment
+    )
+
+
+@given(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=3, max_size=3),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_normalized_keeps_exactly_the_integer_points(values, is_eq):
+    a, b, c = values
+    constraint = Constraint(x * a + y * b + c, EQ if is_eq else INEQ)
+    normalized = constraint.normalized()
+    for point in itertools.product(range(-4, 5), repeat=2):
+        assignment = dict(zip("xy", point))
+        assert _satisfied_one(normalized, assignment) == _satisfied_one(constraint, assignment)
+    # Integral, and its own normal form.
+    assert all(v.denominator == 1 for v in normalized.expr.terms.values())
+    assert normalized.normalized() is normalized
+
+
+def _satisfied_one(constraint, point):
+    value = constraint.expr.evaluate(point)
+    return value == 0 if constraint.kind == EQ else value >= 0
+
+
+# ----------------------------------------------------------------------
 # Pinned verdicts
 # ----------------------------------------------------------------------
-def test_odd_equality_is_rationally_feasible():
-    # x = 1/2 is a rational point; the test is rational with inequality
-    # tightening only, so an integer-empty equality alone stays "maybe".
-    assert feasible_rational(ConstraintSystem([eq(x * 2, 1), ge(x, 0), le(x, 5)]))
+def test_odd_equality_is_integer_empty_when_added():
+    # x = 1/2 is a rational point, but 2x == 1 has no integer one: adding
+    # the equality marks the system false, so the check costs no unit.
+    system = ConstraintSystem([eq(x * 2, 1), ge(x, 0), le(x, 5)])
+    assert system.has_trivially_false()
+    budget = WorkBudget()
+    with active_budget(budget):
+        assert not feasible_rational(system)
+    assert budget.used == 0
+    assert not ConstraintSystem([eq(x * 2 + y * 4, 2)]).has_trivially_false()
 
 
 def test_inequality_constant_is_tightened():
@@ -229,13 +328,26 @@ def test_non_unit_equality_substitution():
     assert feasible_rational(ConstraintSystem(rows + [le(y, 4)]))
 
 
-def test_more_than_24_variables_answers_true():
+def test_derived_integer_empty_equality_is_refuted():
+    # Eliminating x from x == 2y and x + 2z == 1 derives 2y + 2z == 1: no
+    # integer point, though the box is too wide for propagation to see it.
+    z = QPoly.variable("z")
+    rows = [eq(x - y * 2, 0), eq(x + z * 2, 1), ge(y, 0), le(y, 100), ge(z, -100), le(z, 100)]
+    assert not feasible_rational(ConstraintSystem(rows))
+    assert feasible_rational(ConstraintSystem(rows[:1] + [eq(x + z * 2, 2)] + rows[2:]))
+
+
+def test_more_than_24_variables_skip_elimination_not_propagation():
+    # Propagation is linear in the rows, so it runs before the cut-off and
+    # still refutes a contradictory box over 25 variables.
     names = [f"v{k:02d}" for k in range(25)]
     rows = [ge(name, 0) for name in names] + [le(name, 1) for name in names]
-    rows.append(ge(QPoly.variable("v00"), 2))
-    system = ConstraintSystem(rows)
-    assert feasible_rational(system)
-    assert not feasible_rational(ConstraintSystem(rows[:1] + rows[25:26] + rows[-1:]))
+    assert not feasible_rational(ConstraintSystem(rows + [ge(QPoly.variable("v00"), 2)]))
+    # An unbounded cycle (v00 >= v01 + 1, v01 >= v00) gives propagation no
+    # bound to start from; elimination refutes it, but only below the cut-off.
+    cycle = [ge(QPoly.variable("v00"), QPoly.variable("v01") + 1), ge("v01", "v00")]
+    assert not feasible_rational(ConstraintSystem(cycle))
+    assert feasible_rational(ConstraintSystem(cycle + [ge(name, 0) for name in names]))
 
 
 def test_trivially_false_is_free():
@@ -289,7 +401,7 @@ def _pieces(scop):
 def test_copy_kernel_8_byte_pieces_are_pinned():
     assert _pieces(build_copy_kernel(16, element_size=8)) == (
         28,
-        1276,
+        1192,
         "b08fd60dd04a044c4d863fab2def4f4dfc417dc4611cca398f8da14da3105e30",
     )
 
@@ -300,3 +412,43 @@ def test_stencil_1d_pieces_are_pinned():
         332,
         "bcd2b332c331efa292b3c6d152fab40de031882188c3c6e9f2a0f317728bd9ac",
     )
+
+
+# ----------------------------------------------------------------------
+# Work gate: propagation keeps Fourier-Motzkin off most empty systems
+# ----------------------------------------------------------------------
+#: ``_eliminate`` calls and bound-propagation refutations of one cold
+#: symbolic analysis (two levels of 1 KiB and 8 KiB, no budget, no
+#: fallback).  Without propagation the calls were 4,097 and 1,065.
+WORK_COUNTS = {("matvec", "n16"): (2455, 896), ("copylines", "n8"): (410, 103)}
+
+
+@pytest.mark.parametrize("name, dataset", sorted(WORK_COUNTS))
+def test_fourier_motzkin_work_is_gated(name, dataset, monkeypatch):
+    eliminations, refutations = WORK_COUNTS[name, dataset]
+    counts = {"eliminate": 0, "refuted": 0}
+    eliminate, refuted_by_bounds = constraints._eliminate, constraints._refuted_by_bounds
+
+    def counting_eliminate(*args, **kwargs):
+        counts["eliminate"] += 1
+        return eliminate(*args, **kwargs)
+
+    def counting_refuted(rows, width):
+        refuted = refuted_by_bounds(rows, width)
+        counts["refuted"] += refuted
+        return refuted
+
+    monkeypatch.setattr(constraints, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(lexopt, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(constraints, "_refuted_by_bounds", counting_refuted)
+    monkeypatch.setattr(constraints, "_FEASIBILITY_CACHE", {})
+    PROGRAM_MEMO.clear()
+    try:
+        options = ModelOptions(symbolic_work_budget=None, fallback_to_simulation=False)
+        result = CacheModel(SYMBOLIC_MACHINE, options).analyze(_knl_scop(name, dataset))
+    finally:
+        PROGRAM_MEMO.clear()
+    assert not result.used_fallback
+    # At most 10% more eliminations, at most 10% fewer refutations.
+    assert counts["eliminate"] <= eliminations * 11 // 10, counts
+    assert counts["refuted"] >= refutations * 9 // 10, counts
