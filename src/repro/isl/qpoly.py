@@ -51,7 +51,9 @@ class Div:
     ``repr``), the free variables and the integer argument are computed once
     and cached; pickling rebuilds a div from ``items`` and ``denominator``
     only, so a cached string hash never crosses into a process with a
-    different hash seed.
+    different hash seed.  :func:`floor_div` and unpickling hand out one
+    interned object per distinct floor (:func:`_interned_div`), so dicts
+    keyed by divs mostly hit on identity.
     """
 
     __slots__ = ("items", "denominator", "_hash", "_sort_key", "_variables", "_integer_argument")
@@ -116,10 +118,34 @@ class Div:
         return value
 
     def __reduce__(self):
-        return (Div, (self.items, self.denominator))
+        return (_interned_div, (self.items, self.denominator))
 
     def __repr__(self) -> str:
         return f"floor(({self.argument()})/{self.denominator})"
+
+
+#: Interned divs by denominator and argument, the coefficients as integer
+#: pairs so that a lookup hashes and compares no ``Fraction``.
+_DIVS: Dict[tuple, Div] = {}
+#: Bound of ``_DIVS``; a full table is emptied (equal divs then compare by
+#: argument again until they are interned anew).
+_DIVS_LIMIT = 1 << 16
+
+
+def _interned_div(items: Tuple[Tuple["Monomial", Fraction], ...], denominator: int) -> Div:
+    """The one interned :class:`Div` for ``items`` and ``denominator``.
+
+    Thread-safe without a lock (so a fork never inherits a held one): the
+    single ``dict.setdefault`` call runs atomically under the GIL, and every
+    caller gets the object that call kept.
+    """
+    key = (denominator, tuple((monomial, coeff.numerator, coeff.denominator) for monomial, coeff in items))
+    div = _DIVS.get(key)
+    if div is None:
+        if len(_DIVS) >= _DIVS_LIMIT:
+            _DIVS.clear()
+        div = _DIVS.setdefault(key, Div(items, denominator))
+    return div
 
 
 Symbol = Union[str, Div]
@@ -557,7 +583,7 @@ def floor_div(argument: QPoly, denominator: int) -> QPoly:
         denominator //= gcd
         if denominator == 1:
             return pulled + remainder
-    div = Div(remainder._canonical_items(), denominator)
+    div = _interned_div(remainder._canonical_items(), denominator)
     return pulled + QPoly.variable(div)
 
 

@@ -21,10 +21,12 @@ pipeline on NumPy arrays:
   rest, the stack distance of access ``t`` with previous occurrence ``p``
   is ``(t - p) - #{s < t : prev[s] > p}``, the number of reuse edges
   nested inside ``(p, t)``.  Inside blocks of ``K`` accesses a bottom-up
-  merge with batched ``searchsorted`` counts them (``log2 K`` levels);
+  merge sort counts them (``log2 K`` levels, one stable merge each);
   across block boundaries one prefix sum and one ``searchsorted`` into a
   sorted table of the edges crossing each boundary do, the table held to
-  at most ``n / 4`` entries by the choice of ``K``;
+  at most ``n / 4`` entries by the choice of ``K``.  Both run in chunks of
+  about 2^16 accesses, which bound their temporaries and run side by side
+  on one process-wide thread pool (:func:`_run_all`);
 * **hit/miss evaluation** — fully associative LRU statistics fall out of the
   distance array directly; set-associative LRU statistics reuse the same
   profiler on the trace grouped (stably) by set index; tree-PLRU and FIFO —
@@ -48,6 +50,8 @@ offline pass expresses.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -288,6 +292,54 @@ def _check_bounds(index, array, dim: int, statement: str) -> None:
 # ----------------------------------------------------------------------
 # Vectorized Bennett-Kruskal stack distances
 # ----------------------------------------------------------------------
+#: Accesses per chunk of the stack-distance count: the unit of work of the
+#: thread pool, and the size that bounds each chunk's temporaries.
+_CHUNK = 2**16
+
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool_size() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, where its threads do not exist."""
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_all(function, items) -> None:
+    """``function(item)`` for every item: in turn when there is one item or
+    one CPU, else on the process's thread pool, made on first use with one
+    thread per CPU.  NumPy's sorts, searches and elementwise kernels release
+    the GIL, so the calls run side by side."""
+    workers = _pool_size() if len(items) > 1 else 1
+    if workers < 2:
+        for item in items:
+            function(item)
+        return
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="stack-distances")
+        pool = _POOL
+    for _ in pool.map(function, items):
+        pass
+
+
 def _stable_order(values):
     """``np.argsort(values, kind="stable")`` of an integer array, faster.
 
@@ -336,7 +388,9 @@ def _nested_reuse_counts(prev):
 
     ``K`` is the smallest power of two whose crossing table has at most
     ``n / 4`` entries; a trace without short reuse gets one block of the
-    whole (padded) trace.  First touches get meaningless counts.
+    whole (padded) trace.  The searches run in chunks of ``_CHUNK`` edges
+    on the thread pool, like the blocks.  First touches get meaningless
+    counts.
     """
     n = prev.shape[0]
     reuse = prev >= 0
@@ -345,7 +399,11 @@ def _nested_reuse_counts(prev):
     # open_after[x - 1] = #{edges (a, s) : a < x <= s}, the crossing-table
     # entries of a boundary at x.  A block size's table size is the sum over
     # its boundaries, so each candidate costs n / K reads.
-    open_after = np.cumsum(has_next.view(np.int8) - reuse.view(np.int8), dtype=np.int64)
+    # The prefix sums run in place: np.cumsum of a bool or int8 array would
+    # first make a full-width int64 copy of it.
+    open_after = has_next.astype(np.int64)
+    open_after -= reuse
+    np.cumsum(open_after, out=open_after)
     block = 1
     while block < n and int(open_after[block - 1 :: block].sum()) > n // 4:
         block *= 2
@@ -357,11 +415,17 @@ def _nested_reuse_counts(prev):
     if not group_end.size or not group_end[-1]:
         return nested
 
-    # The edges (p, t) that cross a block boundary, i.e. the reuses with p < B.
-    bounds = np.arange(n, dtype=np.int64)
-    bounds &= -block
-    targets = np.flatnonzero(reuse & (prev < bounds))
-    del bounds
+    # The edges (p, t) that cross a block boundary, i.e. the reuses with p < B,
+    # found a chunk at a time.
+    del reuse
+    pieces = []
+    for start in range(0, n, _CHUNK):
+        bounds = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
+        bounds &= -block
+        piece = prev[start : start + _CHUNK]
+        pieces.append(np.flatnonzero((piece >= 0) & (piece < bounds)) + start)
+    targets = np.concatenate(pieces)
+    del pieces
     sources = prev[targets]
     last = targets // block
     # Table keys boundary * n + source, sorted: boundary-major, then source.
@@ -370,53 +434,123 @@ def _nested_reuse_counts(prev):
     # ends = cumsum(per_edge).
     per_edge = last - sources // block
     table = np.repeat((last + 1 - np.cumsum(per_edge)) * n + sources, per_edge)
+    del per_edge
     table += np.arange(0, table.shape[0] * n, n, dtype=np.int64)
     table.sort()
-    crossing = group_end[last - 1] - np.searchsorted(table, last * n + sources, side="right")
     # nexts[x] = #{a <= x : a has a next access}.
-    nexts = np.cumsum(has_next)
-    nested[targets] += nexts[last * block - 1] - nexts[sources] - crossing
+    nexts = has_next.astype(np.int64)
+    del has_next
+    np.cumsum(nexts, out=nexts)
+
+    def cross(start):
+        edges = slice(start, start + _CHUNK)
+        before, source = last[edges], sources[edges]
+        # The edges (a, s) with p < a < B <= s: group_end[before - 1] - found.
+        found = np.searchsorted(table, before * n + source, side="right")
+        found += nexts[before * block - 1] - nexts[source] - group_end[before - 1]
+        nested[targets[edges]] += found
+
+    _run_all(cross, range(0, targets.shape[0], _CHUNK))
     return nested
 
 
 def _count_greater_within_blocks(values, block):
     """``out[t] = #{s in [B, t) : values[s] > values[t]}``, ``B = t // block * block``.
 
-    Bottom-up merging inside each block of ``block`` (a power of two)
-    accesses.  At half-width ``h`` every ``2h`` pair's right half counts the
-    greater values of its left half: by ``h`` elementwise comparisons while
-    ``h <= 4``, above that by one batched ``searchsorted`` of the right
-    halves into the sorted left halves, pair-offset so one flat array holds
-    every pair.  Each ordered pair (s, t) of a block is counted once, at the
-    level where s and t first fall into sibling halves.
+    The blocks (``block`` a power of two) are cut into chunks of whole
+    blocks, about ``_CHUNK`` accesses each, that run their merge levels
+    (:func:`_merge_levels`) on the thread pool (:func:`_run_all`) and write
+    straight into the result, so every temporary is chunk-sized; only the
+    tail block is padded.  A block longer than a chunk (a trace without
+    short reuse) runs its levels up to pairs of a chunk the same way; each
+    longer level sorts its left halves one at a time and splits the
+    searches of the right halves into chunks on the pool.
     """
     n = values.shape[0]
-    size = -(-n // block) * block
-    padded = np.full(size, -1, dtype=np.int64)
-    padded[:n] = values
-    span = n + 1  # values lie in [-1, n), so pair offsets keep pairs apart
-    counts = np.zeros(size, dtype=np.int64)
-    half = 1
+    counts = np.zeros(n, dtype=np.int64)
+    if block <= _CHUNK:
+        chunk, top = _CHUNK // block * block, block
+    else:  # a power of two, so it divides the block
+        chunk = top = 1 << (_CHUNK.bit_length() - 1)
+
+    def merge(start):
+        stop = min(start + chunk, n)
+        whole = stop - (stop - start) % top
+        if whole > start:
+            _merge_levels(values[start:whole], counts[start:whole], top)
+        if whole < stop:
+            # The padding comes after every access of the tail block, so it
+            # counts for none of them.
+            padded = np.full(top, -1, dtype=np.int64)
+            padded[: stop - whole] = values[whole:stop]
+            tail = np.zeros(top, dtype=np.int64)
+            _merge_levels(padded, tail, top)
+            counts[whole:stop] = tail[: stop - whole]
+
+    _run_all(merge, range(0, n, chunk))
+
+    half = top
     while half < block:
-        pairs = size // (2 * half)
-        rows = padded.reshape(pairs, 2 * half)
-        targets = counts.reshape(pairs, 2 * half)[:, half:]
-        if half <= 4:
-            for column in range(half):
-                targets += rows[:, column : column + 1] > rows[:, half:]
-        else:
-            offsets = np.arange(0, pairs * span, span, dtype=np.int64)[:, None]
-            keys = np.sort(rows[:, :half], axis=1)
-            keys += offsets
-            queries = rows[:, half:] + offsets
-            found = np.searchsorted(keys.reshape(-1), queries.reshape(-1), side="right")
-            del keys, queries
-            # #{left > query} = half - (found - pair * half).
-            targets -= found.reshape(pairs, half)
-            del found
-            targets += np.arange(half, (pairs + 1) * half, half, dtype=np.int64)[:, None]
+        for left in range(0, n - half, 2 * half):
+            keys = np.sort(values[left : left + half])
+            right_end = min(left + 2 * half, n)
+
+            def search(start):
+                # #{left > query} = half - #{left <= query}.
+                stop = min(start + chunk, right_end)
+                counts[start:stop] += half - np.searchsorted(keys, values[start:stop], side="right")
+
+            _run_all(search, range(left + half, right_end, chunk))
         half *= 2
-    return counts[:n]
+    return counts
+
+
+def _merge_levels(values, out, top):
+    """Add ``#{s in [G, t) : values[s] > values[t]}`` to ``out[t]``, ``G`` the
+    start of ``t``'s group of ``top`` (a power of two dividing the length).
+
+    A bottom-up merge sort.  At half-width ``h`` every ``2h`` pair's right
+    half counts the greater values of its left half: by ``h * h``
+    column-against-column comparisons while ``h <= 4``; above that each
+    value is keyed with its index, ``(value + 1) << bits | index``, so keys
+    are distinct and a left value sorts before an equal right one.  With
+    both halves of a pair sorted, one stable sort per level merges them
+    (two runs), and a right key with rank ``j`` among the right keys of the
+    level, at position ``P`` of pair ``r``, follows ``P - 2hr - (j - hr)``
+    left keys, so it has ``h (r + 1) + j - P`` greater ones.  Each ordered
+    pair (s, t) of a group is counted once, at the level where s and t
+    first fall into sibling halves.
+    """
+    size = values.shape[0]
+    half = 1
+    while half < top and half <= 4:
+        # Columns, not rows of h: long strided loops instead of short ones.
+        rows = values.reshape(-1, 2 * half)
+        targets = out.reshape(-1, 2 * half)
+        for right in range(half, 2 * half):
+            for left in range(half):
+                targets[:, right] += rows[:, left] > rows[:, right]
+        half *= 2
+    if half >= top:
+        return
+    bits = (size - 1).bit_length()
+    keys = values + 1  # values lie in [-1, n)
+    keys <<= bits
+    keys |= np.arange(size, dtype=np.int64)
+    keys.reshape(-1, half).sort(axis=1)
+    ranks = np.arange(size // 2, dtype=np.int64)
+    while half < top:
+        keys.reshape(-1, 2 * half).sort(axis=1, kind="stable")
+        right = np.flatnonzero(keys & half)
+        greater = right // (2 * half)
+        greater += 1
+        greater *= half
+        greater += ranks
+        greater -= right
+        right = keys[right]
+        right &= (1 << bits) - 1
+        out[right] += greater
+        half *= 2
 
 
 def _drop_repeats(lines):
@@ -458,10 +592,13 @@ def stack_distances(lines) -> "object":
     Cost, for ``n`` accesses left after the repeats and block size ``K``:
     one stable sort for the previous occurrences (radix when the lines span
     fewer than 2^16), ``O(n)`` to choose ``K``, ``log2 K`` merge levels of
-    ``O(n log n)`` each, and one sort and one search over the at most
-    ``n / 4`` crossing entries.  Memory peaks during the merge levels at
-    about five int64 words per counted access besides ``lines``.  Measured
-    numbers: the trace-fallback bullet of ``docs/PERFORMANCE.md``.
+    ``O(n)`` each (a stable merge of two sorted runs, a scan and a
+    scatter), and one sort and one search over the at most ``n / 4``
+    crossing entries; the levels and the search run chunk by chunk on the
+    thread pool.  Besides ``lines`` and the previous occurrences, memory
+    peaks at about two int64 words per counted access (the counts and a
+    prefix sum) plus a few words per access of one chunk per thread.
+    Measured numbers: the trace-fallback bullet of ``docs/PERFORMANCE.md``.
     """
     lines = np.asarray(lines, dtype=np.int64)
     kept, keep = _drop_repeats(lines)

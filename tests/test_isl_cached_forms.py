@@ -145,3 +145,64 @@ def test_row_set_is_order_insensitive_and_tracks_tightening():
     assert a.row_set() != before
     assert (False, (("y", -1),), 5) in a.row_set()
     assert (False, (("y", -1),), 7) not in a.row_set()
+
+
+def _the_div(expr: QPoly) -> Div:
+    return next(symbol for symbol in expr.symbols() if isinstance(symbol, Div))
+
+
+def test_floor_div_and_unpickling_intern_divs():
+    """Equal floors are one object, however they were built, so dicts keyed
+    by divs hit on identity; unequal floors stay apart."""
+    div = _the_div(floor_div(x + 3, 4))
+    assert _the_div(floor_div(QPoly.constant(3) + x, 4)) is div
+    assert _the_div(floor_div(x * 2 + 6, 8)) is div  # reduced by the gcd first
+    assert pickle.loads(pickle.dumps(div)) is div
+    assert _the_div(floor_div(x + 3, 5)) is not div
+    assert _the_div(floor_div(x + 2, 4)) is not div
+    fractional = _the_div(floor_div(x * Fraction(1, 2) + Fraction(1, 3), 5))
+    assert _the_div(floor_div(x * Fraction(1, 2) + Fraction(1, 3), 5)) is fractional
+    assert _the_div(floor_div(x * Fraction(1, 2) + Fraction(2, 3), 5)) is not fractional
+    nested = _the_div(floor_div(x + floor_div(y + 1, 2) * 3, 7))
+    assert pickle.loads(pickle.dumps(nested)) is nested
+
+
+def test_div_intern_table_is_bounded():
+    from unittest import mock
+
+    from repro.isl import qpoly
+
+    with mock.patch.object(qpoly, "_DIVS", {}), mock.patch.object(qpoly, "_DIVS_LIMIT", 4):
+        divs = [_the_div(floor_div(x + offset, 9)) for offset in range(1, 11)]
+        assert len(qpoly._DIVS) <= 4
+        assert _the_div(floor_div(x + 10, 9)) is divs[-1]
+        again = [_the_div(floor_div(x + offset, 9)) for offset in range(1, 11)]
+        assert len(qpoly._DIVS) <= 4
+    assert again == divs  # equal, though most were interned anew
+
+
+def test_threads_get_one_div_per_floor():
+    import random
+    import threading
+
+    offsets = list(range(300))
+    seen = [None] * 8
+
+    def build(index):
+        order = offsets[:]
+        random.Random(index).shuffle(order)
+        seen[index] = {offset: _the_div(floor_div(y * 5 + offset + 1000, 11)) for offset in order}
+
+    threads = [threading.Thread(target=build, args=(index,)) for index in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for offset in offsets:
+        assert len({id(found[offset]) for found in seen}) == 1

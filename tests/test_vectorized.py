@@ -6,7 +6,9 @@ stack distances, histograms, fully associative and set-associative (LRU)
 statistics, and the hierarchy simulation behind :class:`DineroSimulator`.
 """
 
+import sys
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -176,6 +178,17 @@ def _block_size_of(lines):
     return chosen[0]
 
 
+@contextmanager
+def _threads(count):
+    """Run the count on a pool of ``count`` threads of its own (none for 1)."""
+    with mock.patch.object(vectorized, "_pool_size", lambda: count), mock.patch.object(vectorized, "_POOL", None):
+        try:
+            yield
+        finally:
+            if vectorized._POOL is not None:
+                vectorized._POOL.shutdown()
+
+
 def _assert_matches_profiler(lines):
     lines = list(lines)
     reference = StackDistanceProfiler().profile(lines)
@@ -221,6 +234,100 @@ def test_reuse_longer_than_half_the_trace_is_one_block():
     lines = list(range(1000)) + list(range(1000, 1048)) + list(range(1000))
     _assert_matches_profiler(lines)
     assert _block_size_of(lines) >= len(lines)
+
+
+@given(
+    st.sampled_from([16, 64, 96]),
+    st.integers(min_value=0, max_value=700),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from(["uniform", "sweep", "no short reuse"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_chunked_count_matches_reference_for_any_pool_size(chunk, length, line_count, shape, seed):
+    """A small chunk (96 is not a power of two) and lengths on both sides of
+    chunk, block and tail boundaries: one worker or two, the distances equal
+    the profiler's.  Without short reuse the trace is one block longer than
+    a chunk, whose upper levels search on the pool."""
+    rng = np.random.default_rng(seed)
+    if shape == "uniform":
+        lines = rng.integers(0, line_count, length)
+    elif shape == "sweep":
+        lines = np.arange(length) % line_count
+    else:  # every line twice, in the same order: all reuses length // 2 apart
+        lines = np.arange(length) % max(length // 2, 1)
+    lines = lines.tolist()
+    results = []
+    with mock.patch.object(vectorized, "_CHUNK", chunk):
+        for workers in (1, 2):
+            with _threads(workers):
+                _assert_matches_profiler(lines)
+                results.append(stack_distances(lines))
+        if shape == "no short reuse" and length >= 4 * chunk:
+            assert _block_size_of(lines) > chunk
+    assert np.array_equal(results[0], results[1])
+
+
+def _distances_in_child(lines, connection):
+    connection.send(stack_distances(lines).tolist())
+    connection.close()
+
+
+def test_forked_child_counts_on_its_own_pool():
+    """A forked child inherits the parent's pool object but not its threads:
+    a count on it would wait forever.  The parent counts on its pool first,
+    then a fork-context child counts again and must answer."""
+    import multiprocessing
+
+    lines = np.random.default_rng(7).integers(0, 50, 5000).tolist()
+    with mock.patch.object(vectorized, "_CHUNK", 256), _threads(2):
+        expected = stack_distances(lines).tolist()
+        assert vectorized._POOL is not None
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=_distances_in_child, args=(lines, send))
+        child.start()
+        send.close()
+        try:
+            answered = receive.poll(60)
+            assert answered, "the forked child's count never returned"
+            assert receive.recv() == expected
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+    assert child.exitcode == 0
+
+
+def test_concurrent_histograms_match_sequential():
+    """Eight threads share the pool, each counting its own multi-chunk trace."""
+    import threading
+
+    rng = np.random.default_rng(11)
+    traces = [rng.integers(0, 30 + 10 * index, 3000 + 500 * index).tolist() for index in range(8)]
+    with mock.patch.object(vectorized, "_CHUNK", 128), _threads(2):
+        expected = [distance_histogram(trace) for trace in traces]
+        results = [None] * len(traces)
+        start = threading.Barrier(len(traces))
+
+        def count(index):
+            start.wait()
+            results[index] = distance_histogram(traces[index])
+
+        threads = [threading.Thread(target=count, args=(index,)) for index in range(len(traces))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+    assert expected[0] == StackDistanceProfiler().histogram(traces[0])
 
 
 def test_blocked_count_equals_per_level_count_on_gemm_medium():
@@ -359,13 +466,18 @@ def test_key_packing_orders_like_lexsort_on_raw_columns():
 
 def test_trace_model_curve_peak_memory_per_access():
     """Memory guard on the trace fallback: 3mm at ``small`` (246,732
-    accesses) measured 29.8 bytes per access at its tracemalloc peak (52.0
-    with a schedule-key matrix and without dropping same-line repeats)."""
+    accesses) measured 31.5 bytes per access at its tracemalloc peak with
+    two threads (29.8 before the chunked count, 52.0 with a schedule-key
+    matrix and without dropping same-line repeats).  Each thread of the
+    count holds one chunk's temporaries (about 2 MiB), which do not grow
+    with the trace, so the thread count is pinned to the two CPUs the
+    figure was measured with."""
     scop = get_kernel("3mm").build("small")
     trace_model_curve(scop, line_size=64)  # imports and caches outside the measurement
     tracemalloc.start()
     try:
-        histogram = trace_model_curve(scop, line_size=64)
+        with _threads(2):
+            histogram = trace_model_curve(scop, line_size=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
