@@ -24,9 +24,10 @@ pipeline on NumPy arrays:
   merge sort counts them (``log2 K`` levels, one stable merge each);
   across block boundaries one prefix sum and one ``searchsorted`` into a
   sorted table of the edges crossing each boundary do, the table held to
-  at most ``n / 4`` entries by the choice of ``K``.  Both run in chunks of
-  about 2^16 accesses, which bound their temporaries and run side by side
-  on one process-wide thread pool (:func:`_run_all`);
+  at most ``n / 4`` entries by the choice of ``K``.  Both run in chunks
+  on one process-wide thread pool (:func:`_run_all`), the chunks in flight
+  together about 2^16 accesses whatever the number of threads, which
+  bounds their temporaries;
 * **hit/miss evaluation** — fully associative LRU statistics fall out of the
   distance array directly; set-associative LRU statistics reuse the same
   profiler on the trace grouped (stably) by set index; tree-PLRU and FIFO —
@@ -292,8 +293,9 @@ def _check_bounds(index, array, dim: int, statement: str) -> None:
 # ----------------------------------------------------------------------
 # Vectorized Bennett-Kruskal stack distances
 # ----------------------------------------------------------------------
-#: Accesses per chunk of the stack-distance count: the unit of work of the
-#: thread pool, and the size that bounds each chunk's temporaries.
+#: Accesses the stack-distance count works on at once, over all its
+#: threads: each thread's chunk is this divided by the threads, rounded to
+#: whole blocks, so the chunks' temporaries do not grow with the CPU count.
 _CHUNK = 2**16
 
 _POOL = None
@@ -319,12 +321,22 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_all(function, items) -> None:
-    """``function(item)`` for every item: in turn when there is one item or
-    one CPU, else on the process's thread pool, made on first use with one
-    thread per CPU.  NumPy's sorts, searches and elementwise kernels release
-    the GIL, so the calls run side by side."""
-    workers = _pool_size() if len(items) > 1 else 1
+def _chunking(unit: int) -> Tuple[int, int]:
+    """The chunk length, a multiple of ``unit``, and how many chunks may run
+    at once: together at most ``_CHUNK`` items, or one unit when a unit is
+    longer."""
+    threads = _pool_size()
+    chunk = max(_CHUNK // threads // unit, 1) * unit
+    return chunk, min(threads, max(_CHUNK // chunk, 1))
+
+
+def _run_all(function, items, workers: int) -> None:
+    """``function(item)`` for every item of the range ``items``: in turn when
+    ``workers`` or the items are fewer than two, else in ``workers`` strands
+    (every ``workers``-th item) on the process's thread pool, made on first
+    use with one thread per CPU.  NumPy's sorts, searches and elementwise
+    kernels release the GIL, so the strands run side by side."""
+    workers = min(workers, len(items))
     if workers < 2:
         for item in items:
             function(item)
@@ -334,9 +346,14 @@ def _run_all(function, items) -> None:
         if _POOL is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _POOL = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="stack-distances")
+            _POOL = ThreadPoolExecutor(max_workers=_pool_size(), thread_name_prefix="stack-distances")
         pool = _POOL
-    for _ in pool.map(function, items):
+
+    def strand(first):
+        for item in items[first::workers]:
+            function(item)
+
+    for _ in pool.map(strand, range(workers)):
         pass
 
 
@@ -388,8 +405,8 @@ def _nested_reuse_counts(prev):
 
     ``K`` is the smallest power of two whose crossing table has at most
     ``n / 4`` entries; a trace without short reuse gets one block of the
-    whole (padded) trace.  The searches run in chunks of ``_CHUNK`` edges
-    on the thread pool, like the blocks.  First touches get meaningless
+    whole (padded) trace.  The searches run in chunks on the thread pool,
+    like the blocks (:func:`_chunking`).  First touches get meaningless
     counts.
     """
     n = prev.shape[0]
@@ -442,15 +459,17 @@ def _nested_reuse_counts(prev):
     del has_next
     np.cumsum(nexts, out=nexts)
 
+    chunk, workers = _chunking(1)
+
     def cross(start):
-        edges = slice(start, start + _CHUNK)
+        edges = slice(start, start + chunk)
         before, source = last[edges], sources[edges]
         # The edges (a, s) with p < a < B <= s: group_end[before - 1] - found.
         found = np.searchsorted(table, before * n + source, side="right")
         found += nexts[before * block - 1] - nexts[source] - group_end[before - 1]
         nested[targets[edges]] += found
 
-    _run_all(cross, range(0, targets.shape[0], _CHUNK))
+    _run_all(cross, range(0, targets.shape[0], chunk), workers)
     return nested
 
 
@@ -458,56 +477,37 @@ def _count_greater_within_blocks(values, block):
     """``out[t] = #{s in [B, t) : values[s] > values[t]}``, ``B = t // block * block``.
 
     The blocks (``block`` a power of two) are cut into chunks of whole
-    blocks, about ``_CHUNK`` accesses each, that run their merge levels
+    blocks (:func:`_chunking`) that run their merge levels
     (:func:`_merge_levels`) on the thread pool (:func:`_run_all`) and write
     straight into the result, so every temporary is chunk-sized; only the
-    tail block is padded.  A block longer than a chunk (a trace without
-    short reuse) runs its levels up to pairs of a chunk the same way; each
-    longer level sorts its left halves one at a time and splits the
-    searches of the right halves into chunks on the pool.
+    tail block is padded.  A block longer than ``_CHUNK`` (a trace without
+    short reuse) is a chunk of its own.
     """
     n = values.shape[0]
     counts = np.zeros(n, dtype=np.int64)
-    if block <= _CHUNK:
-        chunk, top = _CHUNK // block * block, block
-    else:  # a power of two, so it divides the block
-        chunk = top = 1 << (_CHUNK.bit_length() - 1)
+    chunk, workers = _chunking(block)
 
     def merge(start):
         stop = min(start + chunk, n)
-        whole = stop - (stop - start) % top
+        whole = stop - (stop - start) % block
         if whole > start:
-            _merge_levels(values[start:whole], counts[start:whole], top)
+            _merge_levels(values[start:whole], counts[start:whole], block)
         if whole < stop:
             # The padding comes after every access of the tail block, so it
             # counts for none of them.
-            padded = np.full(top, -1, dtype=np.int64)
+            padded = np.full(block, -1, dtype=np.int64)
             padded[: stop - whole] = values[whole:stop]
-            tail = np.zeros(top, dtype=np.int64)
-            _merge_levels(padded, tail, top)
+            tail = np.zeros(block, dtype=np.int64)
+            _merge_levels(padded, tail, block)
             counts[whole:stop] = tail[: stop - whole]
 
-    _run_all(merge, range(0, n, chunk))
-
-    half = top
-    while half < block:
-        for left in range(0, n - half, 2 * half):
-            keys = np.sort(values[left : left + half])
-            right_end = min(left + 2 * half, n)
-
-            def search(start):
-                # #{left > query} = half - #{left <= query}.
-                stop = min(start + chunk, right_end)
-                counts[start:stop] += half - np.searchsorted(keys, values[start:stop], side="right")
-
-            _run_all(search, range(left + half, right_end, chunk))
-        half *= 2
+    _run_all(merge, range(0, n, chunk), workers)
     return counts
 
 
-def _merge_levels(values, out, top):
-    """Add ``#{s in [G, t) : values[s] > values[t]}`` to ``out[t]``, ``G`` the
-    start of ``t``'s group of ``top`` (a power of two dividing the length).
+def _merge_levels(values, out, block):
+    """Add ``#{s in [B, t) : values[s] > values[t]}`` to ``out[t]``,
+    ``B = t // block * block`` (``block`` a power of two dividing the length).
 
     A bottom-up merge sort.  At half-width ``h`` every ``2h`` pair's right
     half counts the greater values of its left half: by ``h * h``
@@ -518,12 +518,12 @@ def _merge_levels(values, out, top):
     (two runs), and a right key with rank ``j`` among the right keys of the
     level, at position ``P`` of pair ``r``, follows ``P - 2hr - (j - hr)``
     left keys, so it has ``h (r + 1) + j - P`` greater ones.  Each ordered
-    pair (s, t) of a group is counted once, at the level where s and t
+    pair (s, t) of a block is counted once, at the level where s and t
     first fall into sibling halves.
     """
     size = values.shape[0]
     half = 1
-    while half < top and half <= 4:
+    while half < block and half <= 4:
         # Columns, not rows of h: long strided loops instead of short ones.
         rows = values.reshape(-1, 2 * half)
         targets = out.reshape(-1, 2 * half)
@@ -531,7 +531,7 @@ def _merge_levels(values, out, top):
             for left in range(half):
                 targets[:, right] += rows[:, left] > rows[:, right]
         half *= 2
-    if half >= top:
+    if half >= block:
         return
     bits = (size - 1).bit_length()
     keys = values + 1  # values lie in [-1, n)
@@ -539,7 +539,7 @@ def _merge_levels(values, out, top):
     keys |= np.arange(size, dtype=np.int64)
     keys.reshape(-1, half).sort(axis=1)
     ranks = np.arange(size // 2, dtype=np.int64)
-    while half < top:
+    while half < block:
         keys.reshape(-1, 2 * half).sort(axis=1, kind="stable")
         right = np.flatnonzero(keys & half)
         greater = right // (2 * half)
@@ -597,7 +597,9 @@ def stack_distances(lines) -> "object":
     crossing entries; the levels and the search run chunk by chunk on the
     thread pool.  Besides ``lines`` and the previous occurrences, memory
     peaks at about two int64 words per counted access (the counts and a
-    prefix sum) plus a few words per access of one chunk per thread.
+    prefix sum) plus a few words for each of the about 2^16 accesses in
+    flight, however many threads run them (for each access of the block
+    when one block is longer).
     Measured numbers: the trace-fallback bullet of ``docs/PERFORMANCE.md``.
     """
     lines = np.asarray(lines, dtype=np.int64)

@@ -151,7 +151,16 @@ def _the_div(expr: QPoly) -> Div:
     return next(symbol for symbol in expr.symbols() if isinstance(symbol, Div))
 
 
-def test_floor_div_and_unpickling_intern_divs():
+@pytest.fixture
+def fresh_divs(monkeypatch):
+    """An empty div intern table: the process-wide one, filled by earlier
+    tests, may reach its bound and be emptied in the middle of a test."""
+    from repro.isl import qpoly
+
+    monkeypatch.setattr(qpoly, "_DIVS", {})
+
+
+def test_floor_div_and_unpickling_intern_divs(fresh_divs):
     """Equal floors are one object, however they were built, so dicts keyed
     by divs hit on identity; unequal floors stay apart."""
     div = _the_div(floor_div(x + 3, 4))
@@ -181,7 +190,7 @@ def test_div_intern_table_is_bounded():
     assert again == divs  # equal, though most were interned anew
 
 
-def test_threads_get_one_div_per_floor():
+def test_threads_get_one_div_per_floor(fresh_divs):
     import random
     import threading
 

@@ -246,9 +246,9 @@ def test_reuse_longer_than_half_the_trace_is_one_block():
 @settings(max_examples=60, deadline=None)
 def test_chunked_count_matches_reference_for_any_pool_size(chunk, length, line_count, shape, seed):
     """A small chunk (96 is not a power of two) and lengths on both sides of
-    chunk, block and tail boundaries: one worker or two, the distances equal
-    the profiler's.  Without short reuse the trace is one block longer than
-    a chunk, whose upper levels search on the pool."""
+    chunk, block and tail boundaries: one, two or three threads, the
+    distances equal the profiler's.  Without short reuse the trace is one
+    block longer than a chunk, counted as a chunk of its own."""
     rng = np.random.default_rng(seed)
     if shape == "uniform":
         lines = rng.integers(0, line_count, length)
@@ -259,13 +259,13 @@ def test_chunked_count_matches_reference_for_any_pool_size(chunk, length, line_c
     lines = lines.tolist()
     results = []
     with mock.patch.object(vectorized, "_CHUNK", chunk):
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             with _threads(workers):
                 _assert_matches_profiler(lines)
                 results.append(stack_distances(lines))
         if shape == "no short reuse" and length >= 4 * chunk:
             assert _block_size_of(lines) > chunk
-    assert np.array_equal(results[0], results[1])
+    assert all(np.array_equal(results[0], result) for result in results[1:])
 
 
 def _distances_in_child(lines, connection):
@@ -466,24 +466,37 @@ def test_key_packing_orders_like_lexsort_on_raw_columns():
 
 def test_trace_model_curve_peak_memory_per_access():
     """Memory guard on the trace fallback: 3mm at ``small`` (246,732
-    accesses) measured 31.5 bytes per access at its tracemalloc peak with
-    two threads (29.8 before the chunked count, 52.0 with a schedule-key
-    matrix and without dropping same-line repeats).  Each thread of the
-    count holds one chunk's temporaries (about 2 MiB), which do not grow
-    with the trace, so the thread count is pinned to the two CPUs the
-    figure was measured with."""
+    accesses) measured 25.6 bytes per access at its tracemalloc peak (29.8
+    before the chunked count, 52.0 with a schedule-key matrix and without
+    dropping same-line repeats)."""
     scop = get_kernel("3mm").build("small")
     trace_model_curve(scop, line_size=64)  # imports and caches outside the measurement
     tracemalloc.start()
     try:
-        with _threads(2):
-            histogram = trace_model_curve(scop, line_size=64)
+        histogram = trace_model_curve(scop, line_size=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     accesses = sum(histogram.values())
     assert accesses == 246_732
     assert peak / accesses <= 32.8
+
+
+def test_count_memory_does_not_grow_with_cpus():
+    """The chunks in flight share one budget of ``_CHUNK`` accesses, so a
+    host with eight CPUs holds no more temporaries than one with one."""
+    lines = np.random.default_rng(5).integers(0, 3000, 300_000)
+    stack_distances(lines)  # imports outside the measurement
+    peaks = []
+    for cpus in (1, 8):
+        with _threads(cpus):
+            tracemalloc.start()
+            try:
+                stack_distances(lines)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 1024
 
 
 def test_trace_arrays_bounds_check():
