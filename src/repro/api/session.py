@@ -86,10 +86,9 @@ class Session:
     def __init__(self, machine: Union[str, MachineModel, None] = None) -> None:
         from . import registry
 
-        # A bad $REPRO_STORE_PATH / $REPRO_STORE_BACKEND would otherwise
-        # surface as a failure (or a silently disabled store) mid-analysis;
-        # fail at session construction instead, with the offending value
-        # named.
+        # A bad $REPRO_STORE_PATH would otherwise surface as a failure (or a
+        # silently disabled store) mid-analysis; fail at session construction
+        # instead, with the offending value named.
         from ..engine.store import validate_store_env
 
         try:
@@ -220,22 +219,21 @@ class Session:
         self._workers = count
         return self
 
-    def store(self, path=_USE_DEFAULT_STORE, *, backend: Optional[str] = None) -> "Session":
+    def store(self, path=_USE_DEFAULT_STORE) -> "Session":
         """Enable the persistent analysis store.
 
         ``store()`` uses the default path (``$REPRO_STORE_PATH`` or the user
-        cache directory); ``store(path)`` uses that path.  An explicit
-        ``store(None)`` disables the store — so configuration values of the
-        form ``store_path or None`` pass through with their
+        cache directory); ``store(path)`` uses that path: a SQLite database
+        file, or an existing directory that holds ``store.sqlite``.  An
+        explicit ``store(None)`` disables the store — so configuration values
+        of the form ``store_path or None`` pass through with their
         :class:`~repro.engine.batch.BatchEngine` meaning intact.
 
-        ``backend`` selects the storage backend (``"dir"`` / ``"sqlite"``;
-        default: ``$REPRO_STORE_BACKEND`` or the directory backend).  The
-        location is validated eagerly — a path that exists with the wrong
-        type or an unwritable parent raises here, at the call site, instead
-        of disabling the store deep inside a worker.  The stored path is a
-        normalized ``backend:path`` spec, so workers and the server open the
-        same backend with no extra plumbing.
+        The location is validated eagerly — a path that exists with the
+        wrong type or an unwritable parent raises here, at the call site,
+        instead of disabling the store deep inside a worker.  The stored path
+        is the database file itself, so workers and the server open the same
+        database.
         """
         from ..engine.store import default_store_path, validate_store_path
 
@@ -245,7 +243,7 @@ class Session:
             self._store_path = None
             return self
         try:
-            self._store_path = validate_store_path(str(path), backend)
+            self._store_path = validate_store_path(str(path))
         except ValueError as exc:
             raise SessionConfigError(str(exc)) from None
         return self

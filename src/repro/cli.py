@@ -40,10 +40,8 @@ from .core import CacheLevelSpec, MachineModel
 from .core.prevmap import ModelFallbackRequired
 from .core.results import ModelResult
 from .engine.store import (
-    BACKEND_NAMES,
     default_store_path,
     job_digest,
-    make_store_spec,
     validate_store_env,
     validate_store_path,
 )
@@ -182,19 +180,18 @@ ARG_GROUPS: Dict[str, Tuple[ArgSpec, ...]] = {
     "store": (
         _arg(
             "--store-path",
-            metavar="DIR",
+            metavar="PATH",
             default=None,
-            help="persistent analysis store root (default: $REPRO_STORE_PATH or "
-            "~/.cache/repro-haystack/store)",
+            help="persistent analysis store: a SQLite database file, or a directory "
+            "that holds store.sqlite (default: $REPRO_STORE_PATH or "
+            "~/.cache/repro-haystack/store.sqlite)",
         ),
         _arg("--no-store", action="store_true", help="disable the persistent analysis store for this run"),
         _arg(
             "--store-backend",
-            choices=BACKEND_NAMES,
+            choices=("sqlite",),
             default=None,
-            help="store backend: 'dir' (one file per entry, the default) or "
-            "'sqlite' (one WAL-mode database; safe for many server workers); "
-            "default: $REPRO_STORE_BACKEND or dir",
+            help="accepted for old command lines; the store is always SQLite",
         ),
     ),
     "no-fallback": (
@@ -266,7 +263,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-haystack",
         description=__doc__,
-        epilog="Environment variables (REPRO_STORE_PATH, REPRO_STORE_BACKEND, "
+        epilog="Environment variables (REPRO_STORE_PATH, "
         "REPRO_STORE_MAX_BYTES, REPRO_BENCH_JOBS, REPRO_EXAMPLE_FAST) are "
         "documented in the README's 'Environment variables' table; see also "
         "docs/ARCHITECTURE.md and docs/PERFORMANCE.md.",
@@ -300,7 +297,7 @@ def _check_environment(args) -> None:
     try:
         validate_store_env()
         if getattr(args, "store_path", None) and not args.no_store:
-            validate_store_path(args.store_path, args.store_backend)
+            validate_store_path(args.store_path)
     except ValueError as exc:
         raise _ArgsError(str(exc)) from None
 
@@ -406,16 +403,11 @@ def _load_scop(args):
 
 
 def _store_path(args, root: Optional[str] = None) -> Optional[str]:
-    """Resolved store spec: ``--no-store`` disables, ``--store-path`` overrides
-    ``root`` (default: ``$REPRO_STORE_PATH`` or the per-user cache).
-
-    The returned string carries the backend choice (``--store-backend`` /
-    ``$REPRO_STORE_BACKEND``) as a ``backend:path`` spec, so it flows through
-    sessions, pool workers, and the server unchanged.
-    """
+    """Store location: ``--no-store`` disables, ``--store-path`` overrides
+    ``root`` (default: ``$REPRO_STORE_PATH`` or the per-user cache)."""
     if args.no_store:
         return None
-    return make_store_spec(args.store_path or root or default_store_path(), args.store_backend)
+    return args.store_path or root or default_store_path()
 
 
 def _session_from_args(args, machine: MachineModel) -> Session:

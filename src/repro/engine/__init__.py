@@ -11,8 +11,9 @@ into a throughput-oriented service:
 * :mod:`repro.engine.cache` provides the per-job memoizing cardinality cache
   that the model threads through its first-touch and capacity counts,
 * :mod:`repro.engine.store` adds the persistent, content-addressed disk tier
-  behind both: cardinality counts and whole model results survive across
-  processes and runs, with code-version invalidation and an LRU size cap.
+  behind both, one SQLite database: cardinality counts and whole model
+  results survive across processes and runs, with code-version invalidation
+  and an LRU size cap.
 
 ``repro.core`` imports :mod:`repro.engine.cache` while
 :mod:`repro.engine.batch` imports ``repro.core``; the batch/jobs names are
@@ -32,15 +33,11 @@ __all__ = [
     "JobError",
     "JobRecord",
     "JobSpec",
-    "LocalDirBackend",
     "PersistentCardinalityCache",
-    "SQLiteBackend",
-    "StoreBackend",
     "StoreStats",
     "default_store_path",
     "expand_matrix",
     "job_digest",
-    "make_store_spec",
     "stable_digest",
     "validate_store_env",
     "validate_store_path",
@@ -54,14 +51,10 @@ _LAZY = {
     "JobSpec": "jobs",
     "expand_matrix": "jobs",
     "AnalysisStore": "store",
-    "LocalDirBackend": "store",
     "PersistentCardinalityCache": "store",
-    "SQLiteBackend": "store",
-    "StoreBackend": "store",
     "StoreStats": "store",
     "default_store_path": "store",
     "job_digest": "store",
-    "make_store_spec": "store",
     "stable_digest": "store",
     "validate_store_env": "store",
     "validate_store_path": "store",

@@ -2,8 +2,8 @@
 
 The in-memory :class:`~repro.engine.cache.CardinalityCache` removes repeated
 work *within* one analysis job; this module removes it *across* processes and
-runs.  An :class:`AnalysisStore` persists two kinds of entries under one
-location:
+runs.  An :class:`AnalysisStore` persists two kinds of entries in one SQLite
+database:
 
 * ``cardinality`` — integer point counts, keyed by the canonical form of the
   counting problem (the same key the in-memory cache uses);
@@ -18,26 +18,12 @@ records the :func:`code_version` that produced it; a version mismatch on read
 deletes the entry and counts as an *invalidation*, so upgrading the analysis
 code transparently recomputes instead of serving stale counts.
 
-Storage is pluggable: :class:`AnalysisStore` owns the entry format (schema,
-code-version envelope, statistics, LRU budget) and delegates raw blob I/O to
-a :class:`StoreBackend`.  Two backends ship:
-
-* :class:`LocalDirBackend` (``"dir"``, the default) — one JSON file per entry
-  under ``root/<namespace>/<aa>/<digest>.json``.  Writers publish with
-  ``os.replace`` (atomic on POSIX), so a reader never observes a half-written
-  entry; concurrent writers of the same key race to publish identical
-  content.  Safe under the batch engine's multiprocessing pool without
-  locking.
-* :class:`SQLiteBackend` (``"sqlite"``) — a single SQLite database in WAL
-  mode with a busy timeout, so N *server* workers (or N machines on a shared
-  filesystem that supports POSIX locks) share one hit set safely.  The
-  schema is one ``entries`` table keyed by ``(namespace, digest)``.
-
-The backend is selected by a *store spec*: a plain path means ``dir`` (or
-``sqlite`` when the path is an existing regular file, so pointing at a
-database just works), a ``sqlite:PATH`` / ``dir:PATH`` prefix forces one, and
-``$REPRO_STORE_BACKEND`` (or ``--store-backend``) sets the default for
-unprefixed paths.
+The database runs in WAL mode with a busy timeout, so the batch engine's
+multiprocessing pool, N server workers, or N machines on a shared filesystem
+that supports POSIX locks share one hit set safely.  A store path names the
+database file; an existing directory names ``<dir>/store.sqlite`` (so an old
+one-file-per-entry directory store opens as a fresh database next to its
+shards and recomputes).
 
 Size is bounded by an LRU cap (:attr:`AnalysisStore.max_bytes`): reads bump
 the entry recency, and writers periodically evict the stalest entries once
@@ -51,13 +37,12 @@ import hashlib
 import json
 import os
 import sqlite3
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..isl.constraints import ConstraintSystem
 from ..isl.qpoly import Div, QPoly
@@ -65,20 +50,12 @@ from .cache import CardinalityCache, canonical_key
 
 __all__ = [
     "AnalysisStore",
-    "BACKEND_NAMES",
-    "LocalDirBackend",
     "PersistentCardinalityCache",
-    "SQLiteBackend",
-    "StoreBackend",
-    "StoreEntry",
     "StoreStats",
     "cardinality_digest",
     "code_version",
     "default_store_path",
     "job_digest",
-    "make_store_spec",
-    "open_backend",
-    "parse_store_spec",
     "stable_digest",
     "validate_store_env",
     "validate_store_path",
@@ -93,22 +70,27 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: Environment overrides honoured by :func:`default_store_path` and the CLI.
 STORE_PATH_ENV = "REPRO_STORE_PATH"
 STORE_MAX_BYTES_ENV = "REPRO_STORE_MAX_BYTES"
-STORE_BACKEND_ENV = "REPRO_STORE_BACKEND"
 
-#: Store backend names accepted by specs, ``--store-backend``, and
-#: ``$REPRO_STORE_BACKEND``.
-BACKEND_NAMES = ("dir", "sqlite")
+#: Database file name a store path opens when it is an existing directory.
+DATABASE_NAME = "store.sqlite"
 
-#: File name used when a sqlite spec points at an existing directory.
-SQLITE_DEFAULT_NAME = "store.sqlite"
+#: First bytes of every SQLite database file.
+_SQLITE_HEADER = b"SQLite format 3\x00"
 
 
 def default_store_path() -> str:
-    """Store location: ``$REPRO_STORE_PATH`` or ``~/.cache/repro-haystack/store``."""
+    """Store location: ``$REPRO_STORE_PATH`` or ``~/.cache/repro-haystack/store.sqlite``."""
     env = os.environ.get(STORE_PATH_ENV, "").strip()
     if env:
         return env
-    return str(Path.home() / ".cache" / "repro-haystack" / "store")
+    return str(Path.home() / ".cache" / "repro-haystack" / DATABASE_NAME)
+
+
+def _database_path(path) -> Path:
+    """The database file a store path names: ``<dir>/store.sqlite`` for an
+    existing directory, else the path itself."""
+    path = Path(path)
+    return path / DATABASE_NAME if path.is_dir() else path
 
 
 def _canonical(value):
@@ -177,90 +159,28 @@ def code_version() -> str:
 
 
 # ----------------------------------------------------------------------
-# Store specs: backend selection and eager validation
+# Eager validation of store paths
 # ----------------------------------------------------------------------
-def parse_store_spec(spec: str, backend: Optional[str] = None) -> Tuple[str, str]:
-    """``(backend_name, root_path)`` for a store path spec.
-
-    Resolution order: an explicit ``sqlite:``/``dir:`` prefix on the spec
-    wins, then the ``backend`` argument (CLI ``--store-backend``), then
-    ``$REPRO_STORE_BACKEND``, then a filesystem heuristic — an existing
-    regular file can only be a SQLite database, everything else defaults to
-    the directory backend.  A sqlite root that is an existing directory is
-    rewritten to ``<dir>/store.sqlite`` so both backends accept the same
-    default location.
-    """
-    spec = str(spec)
-    name = None
-    for prefix in BACKEND_NAMES:
-        if spec.startswith(prefix + ":"):
-            name, spec = prefix, spec[len(prefix) + 1 :]
-            break
-    if not spec:
-        raise ValueError(f"store path spec {spec!r} names no path")
-    if name is None:
-        name = backend or os.environ.get(STORE_BACKEND_ENV, "").strip() or None
-        if name is not None and name not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown store backend {name!r} (expected {'|'.join(BACKEND_NAMES)})"
-            )
-    if name is None:
-        name = "sqlite" if _is_sqlite_file(Path(spec)) else "dir"
-    if name == "sqlite" and Path(spec).is_dir():
-        spec = str(Path(spec) / SQLITE_DEFAULT_NAME)
-    return name, spec
-
-
-def _is_sqlite_file(path: Path) -> bool:
-    """Existing SQLite database (magic header, or empty = a fresh one)?
-
-    The autodetect must only claim files that really are databases; an
-    arbitrary file at the store path is a configuration error (the dir
-    backend reports it as such), not a database to overwrite.
-    """
-    try:
-        if not path.is_file():
-            return False
-        if path.stat().st_size == 0:
-            return True
-        with open(path, "rb") as handle:
-            return handle.read(16) == b"SQLite format 3\x00"
-    except OSError:
-        return False
-
-
-def make_store_spec(path, backend: Optional[str] = None) -> str:
-    """Self-describing store spec string: the backend travels with the path.
-
-    The spec flows unmodified through :class:`~repro.engine.jobs.JobSpec`
-    payloads and :attr:`~repro.core.model.ModelOptions.store_path` into pool
-    workers, so every process opens the same backend without extra plumbing.
-    """
-    name, root = parse_store_spec(str(path), backend)
-    return f"{name}:{root}"
-
-
-def validate_store_path(spec, backend: Optional[str] = None) -> str:
-    """Eagerly check a store location; returns the normalized spec.
+def validate_store_path(path) -> str:
+    """Eagerly check a store location; returns the database file it names.
 
     Raises ``ValueError`` with a one-line, actionable message when the
-    location cannot work — the path exists but has the wrong type for the
-    backend, or the nearest existing ancestor is not writable — instead of
-    letting a deep ``OSError`` (or a silently disabled store) surface
-    mid-analysis.
+    location cannot work — the database path exists but is not a regular
+    file, is a file that is not a SQLite database (the store would bury it
+    as a corrupt database on its first write), or the nearest existing
+    ancestor is not writable — instead of letting a deep ``OSError`` (or a
+    silently disabled store) surface mid-analysis.
     """
-    name, root = parse_store_spec(spec, backend)
-    path = Path(root)
-    if name == "dir" and path.exists() and not path.is_dir():
+    path = _database_path(path)
+    if path.exists() and not path.is_file():
         raise ValueError(
-            f"store path {root!r} is a file, not a directory "
-            f"(move it aside, pick another --store-path/$REPRO_STORE_PATH, "
-            f"or select the sqlite backend to use it as a database)"
-        )
-    if name == "sqlite" and path.exists() and not path.is_file():
-        raise ValueError(
-            f"sqlite store path {root!r} is not a regular file "
+            f"store path {str(path)!r} is not a regular file "
             f"(point it at a database file or a directory that can hold one)"
+        )
+    if path.is_file() and _file_header(path) not in (b"", _SQLITE_HEADER):
+        raise ValueError(
+            f"store path {str(path)!r} is a file but not a SQLite database "
+            f"(move it aside or pick another --store-path/$REPRO_STORE_PATH)"
         )
     probe = path if path.exists() else path.parent
     while not probe.exists():
@@ -270,352 +190,41 @@ def validate_store_path(spec, backend: Optional[str] = None) -> str:
         probe = parent
     if probe != path and probe.exists() and not probe.is_dir():
         raise ValueError(
-            f"store path {root!r} is not a regular file location "
+            f"store path {str(path)!r} is not a regular file location "
             f"({probe} is a file in the way); pick another "
             f"--store-path/$REPRO_STORE_PATH"
         )
     access = os.W_OK | os.X_OK if probe.is_dir() else os.W_OK
     if probe.exists() and not os.access(probe, access):
         raise ValueError(
-            f"store path {root!r} is not writable ({probe} denies write access); "
+            f"store path {str(path)!r} is not writable ({probe} denies write access); "
             f"fix the permissions or pick another --store-path/$REPRO_STORE_PATH"
         )
-    return f"{name}:{root}"
+    return str(path)
+
+
+def _file_header(path: Path) -> bytes:
+    """The first bytes of ``path`` (empty when it is empty or unreadable)."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read(len(_SQLITE_HEADER))
+    except OSError:
+        return b""
 
 
 def validate_store_env() -> None:
-    """Validate ``$REPRO_STORE_BACKEND`` and ``$REPRO_STORE_PATH`` eagerly.
+    """Validate ``$REPRO_STORE_PATH`` eagerly.
 
     Called at CLI entry, :class:`~repro.api.Session` construction, and server
     construction, so a bad environment fails with one clear line instead of a
     traceback from deep inside a worker.
     """
-    backend = os.environ.get(STORE_BACKEND_ENV, "").strip()
-    if backend and backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown store backend {backend!r} in ${STORE_BACKEND_ENV} "
-            f"(expected {'|'.join(BACKEND_NAMES)})"
-        )
     path = os.environ.get(STORE_PATH_ENV, "").strip()
     if path:
         try:
             validate_store_path(path)
         except ValueError as exc:
             raise ValueError(f"${STORE_PATH_ENV}: {exc}") from None
-
-
-# ----------------------------------------------------------------------
-# Backends
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StoreEntry:
-    """One stored blob as the LRU sweep sees it."""
-
-    namespace: str
-    digest: str
-    size: int
-    #: Recency stamp in nanoseconds (reads refresh it); the eviction order is
-    #: ``(recency_ns, namespace, digest)`` so same-tick writes stay stable.
-    recency_ns: int
-
-
-class StoreBackend:
-    """Raw blob storage contract behind :class:`AnalysisStore`.
-
-    Implementations store opaque text blobs keyed by ``(namespace, digest)``
-    and must be safe under concurrent writers from a multiprocessing pool.
-    Every method is total: storage-level failures surface as misses (reads)
-    or dropped writes, never as exceptions — the store is an accelerator and
-    must not fail the analysis it accelerates.
-    """
-
-    #: Backend name as used in store specs (``"dir"`` / ``"sqlite"``).
-    name = "abstract"
-
-    def read(self, namespace: str, digest: str) -> Optional[str]:
-        """Blob text, ``None`` when absent, ``""`` when present but unreadable."""
-        raise NotImplementedError
-
-    def write(self, namespace: str, digest: str, text: str) -> int:
-        """Atomically publish ``text``; returns bytes written (0 = dropped)."""
-        raise NotImplementedError
-
-    def delete(self, namespace: str, digest: str) -> None:
-        raise NotImplementedError
-
-    def touch(self, namespace: str, digest: str) -> None:
-        """Refresh the entry's recency stamp (LRU bookkeeping)."""
-        raise NotImplementedError
-
-    def entries(self) -> Iterator[StoreEntry]:
-        raise NotImplementedError
-
-    def size_bytes(self) -> int:
-        return sum(entry.size for entry in self.entries())
-
-    def entry_count(self) -> int:
-        return sum(1 for _ in self.entries())
-
-    def wipe(self) -> int:
-        removed = 0
-        for entry in list(self.entries()):
-            self.delete(entry.namespace, entry.digest)
-            removed += 1
-        return removed
-
-
-class LocalDirBackend(StoreBackend):
-    """One JSON file per entry under ``root/<namespace>/<aa>/<digest>.json``.
-
-    The two-level fan-out keeps directories small for large stores; the
-    namespace separates cardinality entries from whole-result entries so the
-    LRU sweep and wipe tooling can treat them uniformly.  Writers create a
-    temporary file in the destination directory and publish it with
-    ``os.replace`` (atomic on POSIX); recency is the file mtime
-    (``st_mtime_ns`` — the float ``st_mtime`` is too coarse to separate
-    entries written in the same tick, routine under the mp pool).
-    """
-
-    name = "dir"
-
-    def __init__(self, root) -> None:
-        self.root = Path(root)
-
-    def _path(self, namespace: str, digest: str) -> Path:
-        return self.root / namespace / digest[:2] / f"{digest}.json"
-
-    def read(self, namespace: str, digest: str) -> Optional[str]:
-        path = self._path(namespace, digest)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return handle.read()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            # Present but unreadable: report a corpse so the caller buries it.
-            return ""
-
-    def write(self, namespace: str, digest: str, text: str) -> int:
-        path = self._path(namespace, digest)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                os.replace(tmp_name, path)
-            except BaseException:
-                _unlink_quietly(Path(tmp_name))
-                raise
-        except OSError:
-            return 0
-        return len(text.encode("utf-8"))
-
-    def delete(self, namespace: str, digest: str) -> None:
-        _unlink_quietly(self._path(namespace, digest))
-
-    def touch(self, namespace: str, digest: str) -> None:
-        try:
-            os.utime(self._path(namespace, digest))
-        except OSError:
-            pass
-
-    def _files(self) -> Iterator[Path]:
-        for namespace_dir in self.root.iterdir() if self.root.is_dir() else ():
-            if not namespace_dir.is_dir():
-                continue
-            for shard in namespace_dir.iterdir():
-                if not shard.is_dir():
-                    continue
-                for path in shard.iterdir():
-                    if path.suffix == ".json":
-                        yield path
-
-    def entries(self) -> Iterator[StoreEntry]:
-        for path in self._files():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            yield StoreEntry(
-                namespace=path.parent.parent.name,
-                digest=path.stem,
-                size=stat.st_size,
-                recency_ns=stat.st_mtime_ns,
-            )
-
-
-#: Seconds a SQLite writer waits on a locked database before giving up.
-_SQLITE_TIMEOUT = 30.0
-
-_SQLITE_SCHEMA = """
-CREATE TABLE IF NOT EXISTS entries (
-    namespace  TEXT NOT NULL,
-    digest     TEXT NOT NULL,
-    payload    TEXT NOT NULL,
-    size       INTEGER NOT NULL,
-    recency_ns INTEGER NOT NULL,
-    PRIMARY KEY (namespace, digest)
-)
-"""
-
-
-class SQLiteBackend(StoreBackend):
-    """All entries in one SQLite database, WAL mode, busy-timeout writers.
-
-    WAL lets readers proceed while a writer commits, and the busy timeout
-    serializes concurrent writers without failures, so N server workers (or
-    N processes of the batch pool) share one hit set safely.  Connections
-    are opened lazily per ``(instance, process)`` — a handle never crosses a
-    ``fork`` — and guarded by a lock so one backend instance can serve
-    multiple threads (the asyncio server reads from worker threads).
-
-    A corrupt database file is treated like a corrupt dir entry: the first
-    write that trips ``sqlite3.DatabaseError`` deletes the database (plus
-    WAL side files) and recreates it empty; reads report misses meanwhile.
-    """
-
-    name = "sqlite"
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self._conn: Optional[sqlite3.Connection] = None
-        self._pid: Optional[int] = None
-        self._lock = threading.Lock()
-
-    # -- connection management ------------------------------------------------
-    def _connection(self) -> sqlite3.Connection:
-        if self._conn is None or self._pid != os.getpid():
-            if self._conn is not None:
-                try:
-                    self._conn.close()
-                except sqlite3.Error:
-                    pass
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(
-                str(self.path),
-                timeout=_SQLITE_TIMEOUT,
-                isolation_level=None,  # autocommit: every statement is its own txn
-                check_same_thread=False,  # guarded by self._lock
-            )
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(_SQLITE_SCHEMA)
-            self._conn = conn
-            self._pid = os.getpid()
-        return self._conn
-
-    def _reset(self) -> None:
-        """Drop a corrupt database and start empty (entry-corpse burial)."""
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass
-            self._conn = None
-        for suffix in ("", "-wal", "-shm"):
-            _unlink_quietly(Path(str(self.path) + suffix))
-
-    # -- blob operations ------------------------------------------------------
-    def read(self, namespace: str, digest: str) -> Optional[str]:
-        with self._lock:
-            try:
-                row = self._connection().execute(
-                    "SELECT payload FROM entries WHERE namespace = ? AND digest = ?",
-                    (namespace, digest),
-                ).fetchone()
-            except sqlite3.Error:
-                return None
-        return row[0] if row else None
-
-    def write(self, namespace: str, digest: str, text: str) -> int:
-        size = len(text.encode("utf-8"))
-        row = (namespace, digest, text, size, time.time_ns())
-        statement = (
-            "INSERT INTO entries (namespace, digest, payload, size, recency_ns) "
-            "VALUES (?, ?, ?, ?, ?) "
-            "ON CONFLICT (namespace, digest) DO UPDATE SET "
-            "payload = excluded.payload, size = excluded.size, "
-            "recency_ns = excluded.recency_ns"
-        )
-        with self._lock:
-            try:
-                self._connection().execute(statement, row)
-            except sqlite3.DatabaseError:
-                # Corrupt database: bury it and retry once on a fresh one.
-                self._reset()
-                try:
-                    self._connection().execute(statement, row)
-                except sqlite3.Error:
-                    return 0
-            except sqlite3.Error:
-                return 0
-        return size
-
-    def delete(self, namespace: str, digest: str) -> None:
-        with self._lock:
-            try:
-                self._connection().execute(
-                    "DELETE FROM entries WHERE namespace = ? AND digest = ?",
-                    (namespace, digest),
-                )
-            except sqlite3.Error:
-                pass
-
-    def touch(self, namespace: str, digest: str) -> None:
-        with self._lock:
-            try:
-                self._connection().execute(
-                    "UPDATE entries SET recency_ns = ? WHERE namespace = ? AND digest = ?",
-                    (time.time_ns(), namespace, digest),
-                )
-            except sqlite3.Error:
-                pass
-
-    def entries(self) -> Iterator[StoreEntry]:
-        with self._lock:
-            try:
-                rows = self._connection().execute(
-                    "SELECT namespace, digest, size, recency_ns FROM entries"
-                ).fetchall()
-            except sqlite3.Error:
-                return iter(())
-        return (StoreEntry(*row) for row in rows)
-
-    def size_bytes(self) -> int:
-        with self._lock:
-            try:
-                row = self._connection().execute(
-                    "SELECT COALESCE(SUM(size), 0) FROM entries"
-                ).fetchone()
-            except sqlite3.Error:
-                return 0
-        return int(row[0])
-
-    def entry_count(self) -> int:
-        with self._lock:
-            try:
-                row = self._connection().execute("SELECT COUNT(*) FROM entries").fetchone()
-            except sqlite3.Error:
-                return 0
-        return int(row[0])
-
-    def wipe(self) -> int:
-        count = self.entry_count()
-        with self._lock:
-            try:
-                self._connection().execute("DELETE FROM entries")
-            except sqlite3.Error:
-                return 0
-        return count
-
-
-def open_backend(spec, backend: Optional[str] = None) -> StoreBackend:
-    """The :class:`StoreBackend` a store spec names (see :func:`parse_store_spec`)."""
-    name, root = parse_store_spec(str(spec), backend)
-    if name == "sqlite":
-        return SQLiteBackend(root)
-    return LocalDirBackend(root)
 
 
 # ----------------------------------------------------------------------
@@ -662,33 +271,58 @@ class StoreStats:
         }
 
 
+#: Seconds a SQLite writer waits on a locked database before giving up.
+_SQLITE_TIMEOUT = 30.0
+
+_SQLITE_SCHEMA = """
+CREATE TABLE IF NOT EXISTS entries (
+    namespace  TEXT NOT NULL,
+    digest     TEXT NOT NULL,
+    payload    TEXT NOT NULL,
+    size       INTEGER NOT NULL,
+    recency_ns INTEGER NOT NULL,
+    PRIMARY KEY (namespace, digest)
+)
+"""
+
+_UPSERT = (
+    "INSERT INTO entries (namespace, digest, payload, size, recency_ns) "
+    "VALUES (?, ?, ?, ?, ?) "
+    "ON CONFLICT (namespace, digest) DO UPDATE SET "
+    "payload = excluded.payload, size = excluded.size, "
+    "recency_ns = excluded.recency_ns"
+)
+
+
 class AnalysisStore:
-    """Content-addressed, code-versioned JSON entries on a pluggable backend.
+    """Content-addressed, code-versioned JSON entries in one SQLite database.
 
     The store owns the entry envelope (schema + code version + payload), the
-    per-process statistics, and the LRU size budget; raw blob storage is the
-    backend's problem (see :class:`StoreBackend`).  ``root`` accepts a plain
-    path or a ``sqlite:``/``dir:``-prefixed store spec; ``backend`` forces a
-    backend by name or instance.
+    per-process statistics, and the LRU size budget.  ``path`` names the
+    database file (an existing directory names ``<dir>/store.sqlite``;
+    default: :func:`default_store_path`).
+
+    WAL lets readers proceed while a writer commits, and the busy timeout
+    serializes concurrent writers, so the processes of a pool or a server
+    share one hit set safely.  The connection is opened lazily per
+    ``(instance, process)`` — a handle never crosses a ``fork`` — and guarded
+    by a lock so one instance can serve multiple threads (the asyncio server
+    reads from worker threads).  Every operation is total: SQLite and I/O
+    failures surface as misses (reads) or dropped writes, never as
+    exceptions, since the store is an accelerator and must not fail the
+    analysis it accelerates.  A corrupt database file is buried: the first
+    write that finds it deletes the database (plus WAL side files) and
+    recreates it empty; reads report misses meanwhile.
     """
 
     def __init__(
         self,
-        root: Optional[Union[str, Path]] = None,
+        path: Optional[Union[str, Path]] = None,
         *,
-        backend: Optional[Union[str, StoreBackend]] = None,
         max_bytes: Optional[int] = None,
         version: Optional[str] = None,
     ) -> None:
-        if isinstance(backend, StoreBackend):
-            self.backend = backend
-            self.root = Path(getattr(backend, "root", getattr(backend, "path", ".")))
-        else:
-            spec = str(root) if root else default_store_path()
-            self.backend = open_backend(spec, backend)
-            self.root = Path(
-                getattr(self.backend, "root", getattr(self.backend, "path", spec))
-            )
+        self.path = _database_path(path or default_store_path())
         if max_bytes is None:
             env = os.environ.get(STORE_MAX_BYTES_ENV, "").strip()
             max_bytes = int(env) if env else DEFAULT_MAX_BYTES
@@ -697,10 +331,13 @@ class AnalysisStore:
         self.max_bytes = max_bytes
         self.version = version if version is not None else code_version()
         self._stats = StoreStats()
-        # Incremental size estimate: one backend scan when this instance
-        # first writes, then each write adds its own size.  Eviction (and its
-        # full scan) only happens when the estimate crosses the cap, so
-        # steady writing far below the cap never re-scans the store.
+        self._conn: Optional[sqlite3.Connection] = None
+        self._pid: Optional[int] = None
+        self._lock = threading.Lock()
+        # Incremental size estimate: one size query when this instance first
+        # writes, then each write adds its own size.  Eviction (and its full
+        # scan) only happens when the estimate crosses the cap, so steady
+        # writing far below the cap never re-scans the store.
         self._approx_bytes: Optional[int] = None
 
     def stats(self) -> StoreStats:
@@ -713,39 +350,101 @@ class AnalysisStore:
         return self._stats
 
     # ------------------------------------------------------------------
+    # Database access
+    # ------------------------------------------------------------------
+    def _connection(self) -> sqlite3.Connection:
+        """This process's connection; call with ``_lock`` held."""
+        if self._conn is None or self._pid != os.getpid():
+            self._close()
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            conn = sqlite3.connect(
+                str(self.path),
+                timeout=_SQLITE_TIMEOUT,
+                isolation_level=None,  # autocommit: every statement is its own txn
+                check_same_thread=False,  # guarded by self._lock
+            )
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute(_SQLITE_SCHEMA)
+            self._conn = conn
+            self._pid = os.getpid()
+        return self._conn
+
+    def _close(self) -> None:
+        if self._conn is not None:
+            try:
+                self._conn.close()
+            except sqlite3.Error:
+                pass
+            self._conn = None
+
+    def _execute(self, statement: str, params: tuple = ()) -> Optional[List[tuple]]:
+        """Rows of one statement, or ``None`` when the database fails it."""
+        with self._lock:
+            try:
+                return self._connection().execute(statement, params).fetchall()
+            except (sqlite3.Error, OSError):
+                return None
+
+    def _write(self, namespace: str, digest: str, text: str) -> int:
+        """Publish one entry; returns bytes written (0 = dropped)."""
+        size = len(text.encode("utf-8"))
+        row = (namespace, digest, text, size, time.time_ns())
+        with self._lock:
+            try:
+                self._connection().execute(_UPSERT, row)
+            except sqlite3.OperationalError:
+                # Locked past the busy timeout, or not openable: drop the
+                # write and keep the database.
+                return 0
+            except sqlite3.DatabaseError:
+                # Corrupt database: bury it and retry once on a fresh one.
+                self._close()
+                for suffix in ("", "-wal", "-shm"):
+                    _unlink_quietly(Path(str(self.path) + suffix))
+                try:
+                    self._connection().execute(_UPSERT, row)
+                except (sqlite3.Error, OSError):
+                    return 0
+            except (sqlite3.Error, OSError):
+                return 0
+        return size
+
+    def _delete(self, namespace: str, digest: str) -> None:
+        self._execute("DELETE FROM entries WHERE namespace = ? AND digest = ?", (namespace, digest))
+
+    # ------------------------------------------------------------------
     # Generic entry access
     # ------------------------------------------------------------------
-    def _entry_path(self, namespace: str, digest: str) -> Path:
-        """Filesystem path of one entry (directory backend only; tests and
-        corpse inspection)."""
-        if not isinstance(self.backend, LocalDirBackend):
-            raise TypeError(f"{self.backend.name!r} backend entries have no filesystem path")
-        return self.backend._path(namespace, digest)
-
     def get(self, namespace: str, digest: str):
         """Payload stored under ``digest``, or ``None`` on miss.
 
         Version-stale and corrupt entries are deleted and counted as
         invalidations (plus the miss the caller observes).
         """
-        text = self.backend.read(namespace, digest)
-        if text is None:
+        rows = self._execute(
+            "SELECT payload FROM entries WHERE namespace = ? AND digest = ?", (namespace, digest)
+        )
+        if not rows:
             self._stats.misses += 1
             return None
         try:
-            entry = json.loads(text)
+            entry = json.loads(rows[0][0])
             if entry["schema"] != ENTRY_SCHEMA or entry["version"] != self.version:
                 raise _StaleEntry()
             payload = entry["payload"]
         except (ValueError, KeyError, TypeError, _StaleEntry):
-            # Truncated JSON, garbage blob, or a different code version:
+            # Truncated JSON, garbage payload, or a different code version:
             # drop the entry so the next write repopulates it.
             self._stats.invalidations += 1
             self._stats.misses += 1
-            self.backend.delete(namespace, digest)
+            self._delete(namespace, digest)
             return None
         self._stats.hits += 1
-        self.backend.touch(namespace, digest)
+        self._execute(
+            "UPDATE entries SET recency_ns = ? WHERE namespace = ? AND digest = ?",
+            (time.time_ns(), namespace, digest),
+        )
         return payload
 
     def put(self, namespace: str, digest: str, payload) -> None:
@@ -759,7 +458,7 @@ class AnalysisStore:
             {"schema": ENTRY_SCHEMA, "version": self.version, "payload": payload},
             separators=(",", ":"),
         )
-        written = self.backend.write(namespace, digest, text)
+        written = self._write(namespace, digest, text)
         if not written:
             return
         self._stats.writes += 1
@@ -791,10 +490,12 @@ class AnalysisStore:
     # Maintenance
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
-        return self.backend.size_bytes()
+        rows = self._execute("SELECT COALESCE(SUM(size), 0) FROM entries")
+        return int(rows[0][0]) if rows else 0
 
     def entry_count(self) -> int:
-        return self.backend.entry_count()
+        rows = self._execute("SELECT COUNT(*) FROM entries")
+        return int(rows[0][0]) if rows else 0
 
     def _evict_lru(self) -> None:
         """Delete stalest entries (by recency; reads refresh it) until under cap.
@@ -804,21 +505,23 @@ class AnalysisStore:
         the eviction order stable across runs and processes even for entries
         published in the same tick (routine under the mp pool).
         """
-        entries = list(self.backend.entries())
-        total = sum(entry.size for entry in entries)
-        if total > self.max_bytes:
-            entries.sort(key=lambda entry: (entry.recency_ns, entry.namespace, entry.digest))
-            for entry in entries:
-                if total <= self.max_bytes:
-                    break
-                self.backend.delete(entry.namespace, entry.digest)
-                total -= entry.size
-                self._stats.evictions += 1
+        rows = self._execute(
+            "SELECT namespace, digest, size FROM entries ORDER BY recency_ns, namespace, digest"
+        ) or []
+        total = sum(size for _, _, size in rows)
+        for namespace, digest, size in rows:
+            if total <= self.max_bytes:
+                break
+            self._delete(namespace, digest)
+            total -= size
+            self._stats.evictions += 1
         self._approx_bytes = total
 
     def wipe(self) -> int:
         """Delete every entry; returns how many were removed."""
-        removed = self.backend.wipe()
+        removed = self.entry_count()
+        if self._execute("DELETE FROM entries") is None:
+            removed = 0
         self._approx_bytes = 0
         return removed
 

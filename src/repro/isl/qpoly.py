@@ -47,11 +47,11 @@ class Div:
     produced by :meth:`QPoly._canonical_items`.  ``denominator`` is a positive
     integer.  Divs may be nested (the argument may itself contain divs).
 
-    Instances are immutable by convention.  The hash, the sort key (the
-    ``repr``), the free variables and the integer argument are computed once
-    and cached; pickling rebuilds a div from ``items`` and ``denominator``
-    only, so a cached string hash never crosses into a process with a
-    different hash seed.  :func:`floor_div` and unpickling hand out one
+    Instances are immutable by convention.  The sort key (the ``repr``),
+    the hash (of the sort key), the free variables and the integer argument
+    are computed once and cached; pickling rebuilds a div from ``items`` and
+    ``denominator`` only, so a cached string hash never crosses into a
+    process with a different hash seed.  :func:`floor_div` and unpickling hand out one
     interned object per distinct floor (:func:`_interned_div`), so dicts
     keyed by divs mostly hit on identity.
     """
@@ -112,9 +112,12 @@ class Div:
         return self.denominator == other.denominator and self.items == other.items
 
     def __hash__(self) -> int:
+        # The sort key, not ``(items, denominator)``: CPython hashes -1, -2
+        # and ``Fraction(-1)`` alike, so arguments differing only there
+        # (``floor((-1 + i)/8)`` and ``floor((-2 + i)/8)``) would share a hash.
         value = self._hash
         if value is None:
-            value = self._hash = hash((self.items, self.denominator))
+            value = self._hash = hash(self.sort_key())
         return value
 
     def __reduce__(self):

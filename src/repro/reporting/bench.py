@@ -478,7 +478,7 @@ def _run_serve_workload(config: Dict) -> Dict:
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as tmp:
         server = BackgroundServer(
-            store_path=f"sqlite:{tmp}/store.sqlite",
+            store_path=f"{tmp}/store.sqlite",
             workers=workers,
             max_inflight=len(unique_jobs) + 4,
             max_budget=budget,

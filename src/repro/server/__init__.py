@@ -21,7 +21,7 @@ semantic out of the transport:
 
 Start one from the CLI with ``repro-haystack serve``; see ``docs/SERVER.md``
 for the protocol reference and deployment notes (multi-process servers
-share hits through the sqlite store backend).
+share hits through the one SQLite store).
 """
 
 from .background import BackgroundServer

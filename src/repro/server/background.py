@@ -6,7 +6,7 @@ teardown.  :class:`BackgroundServer` runs the asyncio loop on a daemon
 thread, exposes the bound ephemeral port once the socket is listening, and
 shuts the loop down cleanly from the foreground::
 
-    with BackgroundServer(workers=2, store_path=spec) as server:
+    with BackgroundServer(workers=2, store_path="store.sqlite") as server:
         client = server.client()
         envelope = client.analyze({"kernel": "gemm", "budget": 2000})
 """

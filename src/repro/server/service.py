@@ -74,7 +74,6 @@ class AnalysisService:
         self,
         *,
         store_path: Optional[str] = None,
-        store_backend: Optional[str] = None,
         workers: int = 1,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         max_budget: Optional[int] = None,
@@ -82,7 +81,7 @@ class AnalysisService:
     ) -> None:
         validate_store_env()
         if store_path:
-            store_path = validate_store_path(store_path, store_backend)
+            store_path = validate_store_path(store_path)
         if workers < 0:
             raise ValueError(f"worker count must be >= 0, got {workers}")
         if max_inflight < 1:

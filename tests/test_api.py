@@ -201,9 +201,9 @@ class TestSessionBuilder:
     def test_store_none_disables_while_bare_store_uses_default(self, tmp_path):
         # store(path or None) must keep the old run_batch(store_path=None)
         # meaning: an explicit None disables, only store() picks the default.
-        # A bare path is normalized to an explicit backend:root spec.
+        # A directory is resolved to the database file it holds.
         assert Session().store(None).store_path is None
-        assert Session().store(str(tmp_path)).store_path == f"dir:{tmp_path}"
+        assert Session().store(str(tmp_path)).store_path == str(tmp_path / "store.sqlite")
         assert Session().store().store_path  # default path resolved
 
     def test_job_error_is_importable_from_the_facade(self):

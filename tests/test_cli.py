@@ -173,6 +173,23 @@ class TestStoreFlags:
         assert "result served from store" in second
         assert "fallback used" in second  # the cached flag round-trips
 
+    def test_store_backend_accepts_only_sqlite(self, tmp_path, capsys):
+        """``--store-backend`` stays for old command lines (the perfbench
+        serve-mixed invocation below) but names no other backend."""
+        from repro.cli import _parser
+
+        store = str(tmp_path / "store")
+        argv = ["serve", "--host", "127.0.0.1", "--port", "0", "--port-file", str(tmp_path / "port"),
+                "--workers", "1", "--store-path", store, "--store-backend", "sqlite",
+                "--max-budget", "150", "--budget", "150"]
+        args = _parser().parse_args(argv)
+        assert (args.store_path, args.store_backend, args.workers) == (store, "sqlite", 1)
+        for backend in ("dir", "redis"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["model", "gemm", "--store-backend", backend])
+            assert excinfo.value.code == 2
+            assert f"invalid choice: '{backend}'" in capsys.readouterr().err
+
     def test_model_no_store_prints_disabled(self, capsys):
         assert main(["model", "gemm", "--dataset", "mini", *FAST, "--no-store"]) == 0
         assert "store disabled" in capsys.readouterr().out

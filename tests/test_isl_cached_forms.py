@@ -176,6 +176,17 @@ def test_floor_div_and_unpickling_intern_divs(fresh_divs):
     assert pickle.loads(pickle.dumps(nested)) is nested
 
 
+def test_div_hash_separates_arguments_cpython_hashes_alike():
+    """CPython hashes -1, -2 and ``Fraction(-1)`` alike, so a hash over the
+    argument's coefficients gave these two floors one hash and every dict or
+    set lookup between them a ``Div.__eq__`` call."""
+    assert hash(-1) == hash(-2) == hash(Fraction(-1))
+    minus_one, minus_two = _the_div(floor_div(x - 1, 8)), _the_div(floor_div(x - 2, 8))
+    assert minus_one != minus_two
+    assert hash(minus_one) != hash(minus_two)
+    assert hash(minus_one) == hash(pickle.loads(pickle.dumps(minus_one)))
+
+
 def test_div_intern_table_is_bounded():
     from unittest import mock
 

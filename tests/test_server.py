@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import Session
-from repro.engine.store import AnalysisStore, job_digest, make_store_spec
+from repro.engine.store import AnalysisStore, job_digest
 from repro.server import AnalysisService, BackgroundServer, RequestError, build_spec
 from repro.server import service as service_module
 from repro.server.client import ServerError
@@ -302,9 +302,9 @@ class TestHttpServer:
             assert client.request("POST", "/v1/analyze", {"kernel": "gemm", "bogus": 1})[0] == 400
 
     def test_analyze_round_trip_matches_offline_session(self, tmp_path):
-        spec_string = make_store_spec(tmp_path, "dir")
+        store_path = str(tmp_path)
         job = {"kernel": "gemm", "budget": 2000}
-        with BackgroundServer(workers=0, store_path=spec_string) as server:
+        with BackgroundServer(workers=0, store_path=store_path) as server:
             client = server.client()
             envelope = client.analyze(job)
             assert envelope["meta"]["cached"] is False
@@ -316,7 +316,7 @@ class TestHttpServer:
             )
         # The offline path on the same store must read the same entry and
         # produce the byte-identical payload.
-        offline_session = Session().budget(2000).store(spec_string)
+        offline_session = Session().budget(2000).store(store_path)
         offline = offline_session.analyze("gemm", "mini")
         assert envelope["meta"]["digest"] == job_digest(offline_session.job_spec("gemm", "mini"))
         assert json.dumps(offline.to_dict(), sort_keys=True) == json.dumps(
@@ -324,8 +324,8 @@ class TestHttpServer:
         )
 
     def test_inline_source_round_trip(self, tmp_path):
-        spec_string = make_store_spec(tmp_path, "sqlite")
-        with BackgroundServer(workers=0, store_path=spec_string) as server:
+        store_path = str(tmp_path / "store.sqlite")
+        with BackgroundServer(workers=0, store_path=store_path) as server:
             client = server.client()
             envelope = client.analyze({"source": GEMM_KNL, "budget": 2000})
             assert envelope["meta"]["kernel"] == "gemm"
@@ -334,7 +334,7 @@ class TestHttpServer:
             again = client.analyze({"source": GEMM_KNL, "budget": 2000})
             assert again["meta"]["cached"] is True
             assert again["meta"]["digest"] == envelope["meta"]["digest"]
-        store = AnalysisStore(spec_string)
+        store = AnalysisStore(store_path)
         assert store.get_result(envelope["meta"]["digest"]) is not None
 
     def test_concurrent_duplicates_coalesce_over_http(self, monkeypatch):
@@ -372,7 +372,7 @@ class TestHttpServer:
             assert excinfo.value.body["shed"] == "budget"
 
     def test_explore_round_trip_matches_offline_session(self, tmp_path):
-        spec_string = make_store_spec(tmp_path, "dir")
+        store_path = str(tmp_path)
         request = {
             "kernel": "gemm",
             "levels": [32 * 1024],
@@ -380,7 +380,7 @@ class TestHttpServer:
             "capacities": [1024, 32 * 1024],
             "budget": 2000,
         }
-        with BackgroundServer(workers=0, store_path=spec_string) as server:
+        with BackgroundServer(workers=0, store_path=store_path) as server:
             envelope = server.client().explore(request)
         meta, table = envelope["meta"], envelope["explore"]
         assert meta["kernel"] == "gemm" and meta["analyses"] == 2
@@ -392,7 +392,7 @@ class TestHttpServer:
             Session()
             .machine((32 * 1024,))
             .budget(2000)
-            .store(spec_string)
+            .store(store_path)
             .explore("gemm", tiles=[1, 4], capacities=[1024, 32 * 1024])
         )
         assert offline.table_digest() == meta["table_digest"]

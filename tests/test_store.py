@@ -1,9 +1,10 @@
-"""Persistent analysis store: hashing, backends, recovery, concurrency."""
+"""Persistent analysis store: hashing, store paths, recovery, concurrency."""
 
 import json
 import multiprocessing
 import os
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -11,13 +12,10 @@ from repro.core import CacheLevelSpec, CacheModel, MachineModel, ModelOptions
 from repro.engine import BatchEngine, JobSpec
 from repro.engine.store import (
     AnalysisStore,
-    LocalDirBackend,
     PersistentCardinalityCache,
-    SQLiteBackend,
     cardinality_digest,
+    code_version,
     job_digest,
-    make_store_spec,
-    parse_store_spec,
     stable_digest,
     validate_store_env,
     validate_store_path,
@@ -27,8 +25,14 @@ from repro.scop import ScopBuilder
 
 LINE = 64
 
-#: Both StoreBackend implementations run the whole conformance suite.
-BACKENDS = ("dir", "sqlite")
+#: The two ways to name a store: a directory that holds ``store.sqlite``
+#: (``dir``) or the database file itself (``sqlite``).  The whole
+#: conformance suite runs on both.
+PATH_FORMS = ("dir", "sqlite")
+
+
+def _store_path(form, tmp_path):
+    return tmp_path if form == "dir" else tmp_path / "hits.db"
 
 
 def _machine(levels=(1024, 8192)):
@@ -49,14 +53,19 @@ def _transpose(n=8, m=7):
 
 
 def _flatten_recency(store):
-    """Force every entry onto one identical recency stamp (both backends)."""
-    backend = store.backend
-    if isinstance(backend, LocalDirBackend):
-        for entry in backend.entries():
-            os.utime(backend._path(entry.namespace, entry.digest), ns=(10**9, 10**9))
-    else:
-        with backend._lock:
-            backend._connection().execute("UPDATE entries SET recency_ns = ?", (10**9,))
+    """Force every entry onto one identical recency stamp."""
+    store._execute("UPDATE entries SET recency_ns = ?", (10**9,))
+
+
+def _digests(store):
+    return sorted(digest for (digest,) in store._execute("SELECT digest FROM entries"))
+
+
+def _payload(store, namespace, digest):
+    rows = store._execute(
+        "SELECT payload FROM entries WHERE namespace = ? AND digest = ?", (namespace, digest)
+    )
+    return rows[0][0] if rows else None
 
 
 # ----------------------------------------------------------------------
@@ -148,52 +157,39 @@ class TestStableDigest:
 
 
 # ----------------------------------------------------------------------
-# Store specs and eager validation
+# Store paths and eager validation
 # ----------------------------------------------------------------------
 class TestStoreSpecs:
-    def test_plain_path_defaults_to_dir(self, tmp_path):
-        assert parse_store_spec(str(tmp_path)) == ("dir", str(tmp_path))
-
-    def test_prefix_forces_backend(self, tmp_path):
-        assert parse_store_spec(f"dir:{tmp_path}") == ("dir", str(tmp_path))
-        name, root = parse_store_spec(f"sqlite:{tmp_path}/db")
-        assert (name, root) == ("sqlite", f"{tmp_path}/db")
-
     def test_sqlite_directory_root_gets_database_name(self, tmp_path):
-        name, root = parse_store_spec(str(tmp_path), backend="sqlite")
-        assert name == "sqlite" and root == str(tmp_path / "store.sqlite")
+        assert validate_store_path(str(tmp_path)) == str(tmp_path / "store.sqlite")
+        assert AnalysisStore(tmp_path).path == tmp_path / "store.sqlite"
+        # A path that does not exist yet names the database file itself.
+        assert validate_store_path(str(tmp_path / "fresh")) == str(tmp_path / "fresh")
 
     def test_existing_database_file_autodetected(self, tmp_path):
         db = tmp_path / "hits.db"
-        sqlite3.connect(db).close()
-        assert parse_store_spec(str(db)) == ("sqlite", str(db))
+        writer = AnalysisStore(db)
+        writer.put_cardinality("ab" * 32, 3)
+        assert validate_store_path(str(db)) == str(db)
+        assert AnalysisStore(validate_store_path(str(db))).get_cardinality("ab" * 32) == 3
 
-    def test_env_backend_applies_to_unprefixed_paths(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        name, _ = parse_store_spec(str(tmp_path / "fresh"))
-        assert name == "sqlite"
-        # An explicit prefix still wins over the environment.
-        assert parse_store_spec(f"dir:{tmp_path}")[0] == "dir"
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            parse_store_spec(str(tmp_path), backend="redis")
-
-    def test_make_store_spec_round_trips(self, tmp_path):
-        spec = make_store_spec(tmp_path, "sqlite")
-        assert parse_store_spec(spec) == ("sqlite", str(tmp_path / "store.sqlite"))
-
-    def test_validate_rejects_file_as_dir_root(self, tmp_path):
-        target = tmp_path / "store"
-        target.write_text("not a directory")
-        with pytest.raises(ValueError, match="is a file, not a directory"):
+    def test_validate_rejects_non_database_file(self, tmp_path):
+        # The store buries a corrupt database on its first write, so a file
+        # that is not one must never become the store.
+        target = tmp_path / "notes.txt"
+        target.write_text("not a database")
+        with pytest.raises(ValueError, match="not a SQLite database"):
             validate_store_path(str(target))
+        assert target.read_text() == "not a database"
+        (tmp_path / "store.sqlite").mkdir()
+        with pytest.raises(ValueError, match="not a regular file"):
+            validate_store_path(str(tmp_path))
 
     def test_validate_rejects_dir_as_sqlite_root_file(self, tmp_path):
         (tmp_path / "db").mkdir()
         (tmp_path / "db" / "x").write_text("")
         with pytest.raises(ValueError, match="not a regular file"):
-            validate_store_path(f"sqlite:{tmp_path}/db/x/nested")
+            validate_store_path(f"{tmp_path}/db/x/nested")
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores permission bits")
     def test_validate_rejects_unwritable_parent(self, tmp_path):
@@ -205,11 +201,6 @@ class TestStoreSpecs:
         finally:
             parent.chmod(0o700)
 
-    def test_validate_env_flags_bad_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "redis")
-        with pytest.raises(ValueError, match="REPRO_STORE_BACKEND"):
-            validate_store_env()
-
     def test_validate_env_flags_bad_path(self, tmp_path, monkeypatch):
         target = tmp_path / "store"
         target.write_text("a file")
@@ -218,17 +209,21 @@ class TestStoreSpecs:
             validate_store_env()
 
     def test_validate_env_accepts_clean_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "dir")
         monkeypatch.setenv("REPRO_STORE_PATH", str(tmp_path / "fresh"))
         validate_store_env()
 
 
 # ----------------------------------------------------------------------
-# Backend conformance: the whole lifecycle on every StoreBackend
+# Conformance: the whole lifecycle, through either form of store path
 # ----------------------------------------------------------------------
-@pytest.fixture(params=BACKENDS)
-def store(request, tmp_path):
-    return AnalysisStore(tmp_path, backend=request.param)
+@pytest.fixture(params=PATH_FORMS)
+def form(request):
+    return request.param
+
+
+@pytest.fixture
+def store(form, tmp_path):
+    return AnalysisStore(_store_path(form, tmp_path))
 
 
 class TestBackendConformance:
@@ -240,30 +235,30 @@ class TestBackendConformance:
         assert (stats.hits, stats.misses, stats.writes) == (1, 1, 1)
         assert stats.hit_rate == 0.5
 
-    def test_version_mismatch_invalidates(self, store, tmp_path):
-        backend_name = store.backend.name
-        writer = AnalysisStore(tmp_path, backend=backend_name, version="v1")
+    def test_version_mismatch_invalidates(self, form, tmp_path):
+        path = _store_path(form, tmp_path)
+        writer = AnalysisStore(path, version="v1")
         writer.put_cardinality("cd" * 32, 7)
-        reader = AnalysisStore(tmp_path, backend=backend_name, version="v2")
+        reader = AnalysisStore(path, version="v2")
         assert reader.get_cardinality("cd" * 32) is None
         assert reader.stats().invalidations == 1
         # The stale entry was deleted, so the old version cannot resurrect it.
-        stale = AnalysisStore(tmp_path, backend=backend_name, version="v1")
+        stale = AnalysisStore(path, version="v1")
         assert stale.get_cardinality("cd" * 32) is None
 
     def test_corrupt_entry_recovered(self, store):
         store.put_cardinality("ef" * 32, 9)
-        # Truncated mid-write (dir: partial file; sqlite: partial payload).
-        store.backend.write("cardinality", "ef" * 32, '{"schema": 1, "version')
+        # A truncated payload.
+        store._write("cardinality", "ef" * 32, '{"schema": 1, "version')
         assert store.get_cardinality("ef" * 32) is None
         assert store.stats().invalidations == 1
-        assert store.backend.read("cardinality", "ef" * 32) is None
+        assert _payload(store, "cardinality", "ef" * 32) is None
         # A rewrite repopulates cleanly.
         store.put_cardinality("ef" * 32, 9)
         assert store.get_cardinality("ef" * 32) == 9
 
     def test_non_json_garbage_recovered(self, store):
-        store.backend.write("result", "aa" * 32, "\x00\xff garbage")
+        store._write("result", "aa" * 32, "\x00\xff garbage")
         assert store.get_result("aa" * 32) is None
         assert store.stats().invalidations == 1
 
@@ -295,7 +290,7 @@ class TestBackendConformance:
             _flatten_recency(store)
             store.max_bytes = store.size_bytes() - 1  # evict exactly the stalest
             store._evict_lru()
-            survivors.append(sorted(entry.digest for entry in store.backend.entries()))
+            survivors.append(_digests(store))
             if trial == 0:
                 # Repopulate the evicted entry for the second trial.
                 store.max_bytes = 10_000
@@ -312,12 +307,11 @@ class TestBackendConformance:
         assert store.get_cardinality("11" * 32) == 1  # touch bumps recency
         store.max_bytes = store.size_bytes() - 1
         store._evict_lru()
-        digests = {entry.digest for entry in store.backend.entries()}
-        assert digests == {"11" * 32}
+        assert _digests(store) == ["11" * 32]
 
-    def test_invalid_size_cap_rejected(self, store, tmp_path):
+    def test_invalid_size_cap_rejected(self, form, tmp_path):
         with pytest.raises(ValueError):
-            AnalysisStore(tmp_path, backend=store.backend.name, max_bytes=0)
+            AnalysisStore(_store_path(form, tmp_path), max_bytes=0)
 
     def test_wipe(self, store):
         store.put_cardinality("11" * 32, 1)
@@ -325,29 +319,44 @@ class TestBackendConformance:
         assert store.wipe() == 2
         assert store.entry_count() == 0
 
-    def test_spec_reopens_same_entries(self, store, tmp_path):
+    def test_spec_reopens_same_entries(self, store, form, tmp_path):
         store.put_result("33" * 32, {"kernel": "gemm"})
-        spec = make_store_spec(tmp_path, store.backend.name)
-        reopened = AnalysisStore(spec)
-        assert reopened.backend.name == store.backend.name
+        path = validate_store_path(str(_store_path(form, tmp_path)))
+        reopened = AnalysisStore(path)
+        assert reopened.path == store.path
         assert reopened.get_result("33" * 32) == {"kernel": "gemm"}
 
 
 class TestSQLiteBackend:
     def test_wal_mode_enabled(self, tmp_path):
-        store = AnalysisStore(tmp_path, backend="sqlite")
+        store = AnalysisStore(tmp_path)
         store.put_cardinality("ab" * 32, 1)
-        mode = store.backend._connection().execute("PRAGMA journal_mode").fetchone()[0]
-        assert mode == "wal"
+        assert store._execute("PRAGMA journal_mode") == [("wal",)]
 
     def test_corrupt_database_recovered_on_write(self, tmp_path):
         db = tmp_path / "store.sqlite"
         db.write_bytes(b"this is not a sqlite database, honest\0" * 20)
-        store = AnalysisStore(f"sqlite:{db}")
+        store = AnalysisStore(db)
         assert store.get_cardinality("ab" * 32) is None  # reads degrade to misses
         store.put_cardinality("ab" * 32, 5)  # first write buries the corpse
         assert store.get_cardinality("ab" * 32) == 5
 
+
+    def test_locked_database_drops_the_write_and_keeps_entries(self, tmp_path, monkeypatch):
+        # A writer that outwaits the busy timeout must not take the lock for
+        # corruption: the shared database and its entries stay.
+        from repro.engine import store as store_module
+
+        monkeypatch.setattr(store_module, "_SQLITE_TIMEOUT", 0.05)
+        store = AnalysisStore(tmp_path)
+        store.put_cardinality("ab" * 32, 5)
+        with closing(sqlite3.connect(store.path, isolation_level=None)) as other:
+            other.execute("BEGIN EXCLUSIVE")
+            AnalysisStore(tmp_path).put_cardinality("cd" * 32, 6)
+            other.execute("COMMIT")
+        reader = AnalysisStore(tmp_path)
+        assert reader.get_cardinality("ab" * 32) == 5
+        assert reader.get_cardinality("cd" * 32) is None
 
 # ----------------------------------------------------------------------
 # Persistent cardinality tier
@@ -372,7 +381,7 @@ class TestPersistentCardinalityCache:
         assert rerun.timing.store_hits > 0 and rerun.timing.store_misses == 0
 
     def test_sqlite_spec_flows_through_model_options(self, tmp_path):
-        spec = make_store_spec(tmp_path, "sqlite")
+        spec = validate_store_path(str(tmp_path))
         baseline = CacheModel(_machine()).analyze(_transpose())
         CacheModel(_machine(), ModelOptions(store_path=spec)).analyze(_transpose())
         rerun = CacheModel(_machine(), ModelOptions(store_path=spec)).analyze(_transpose())
@@ -411,10 +420,7 @@ class TestIncrementalBatch:
     def test_corrupt_result_entry_recomputed(self, tmp_path):
         store_path = str(tmp_path)
         BatchEngine(1, store_path=store_path).run(self.SPECS())
-        store = AnalysisStore(store_path)
-        digest = job_digest(self.SPECS()[0])
-        path = store._entry_path("result", digest)
-        path.write_text(json.dumps({"schema": 1, "version": store.version, "payload": {"bogus": 1}}))
+        AnalysisStore(store_path).put_result(job_digest(self.SPECS()[0]), {"bogus": 1})
         batch = BatchEngine(1, store_path=store_path).run(self.SPECS())
         assert batch.ok_count == 2
         assert [record.cached for record in batch] == [False, True]
@@ -436,10 +442,28 @@ class TestIncrementalBatch:
         assert signature(parallel) == signature(sequential)
 
     def test_sqlite_store_spec_through_the_pool(self, tmp_path):
-        spec = make_store_spec(tmp_path, "sqlite")
+        spec = str(tmp_path / "store.sqlite")
         cold = BatchEngine(2, store_path=spec).run(self.SPECS())
         assert cold.cached_count == 0 and cold.ok_count == 2
         warm = BatchEngine(2, store_path=spec).run(self.SPECS())
+        assert warm.cached_count == 2
+        assert [r.result.to_dict() for r in warm] == [r.result.to_dict() for r in cold]
+
+    def test_old_directory_store_recomputes_then_serves(self, tmp_path):
+        # A store directory of the old one-file-per-entry layout, holding a
+        # well-formed result entry for the first job: never read.
+        old = tmp_path / "store"
+        digest = job_digest(self.SPECS()[0])
+        shard = old / "result" / digest[:2]
+        shard.mkdir(parents=True)
+        envelope = {"schema": 1, "version": code_version(), "payload": {"kernel": "gemm"}}
+        (shard / f"{digest}.json").write_text(json.dumps(envelope))
+        cold = BatchEngine(1, store_path=str(old)).run(self.SPECS())
+        assert cold.cached_count == 0 and cold.ok_count == 2
+        with closing(sqlite3.connect(old / "store.sqlite")) as conn:
+            count = conn.execute("SELECT COUNT(*) FROM entries WHERE namespace = 'result'")
+            assert count.fetchone() == (2,)
+        warm = BatchEngine(1, store_path=str(old)).run(self.SPECS())
         assert warm.cached_count == 2
         assert [r.result.to_dict() for r in warm] == [r.result.to_dict() for r in cold]
 
@@ -463,7 +487,7 @@ class TestIncrementalBatch:
 
 
 # ----------------------------------------------------------------------
-# Concurrent writers (the multiprocessing pool contract, both backends)
+# Concurrent writers (the multiprocessing pool contract, both path forms)
 # ----------------------------------------------------------------------
 def _store_worker(args):
     spec, worker_id = args
@@ -477,9 +501,9 @@ def _store_worker(args):
 
 
 class TestConcurrentWriters:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pool_writers_never_corrupt(self, tmp_path, backend):
-        spec = make_store_spec(tmp_path, backend)
+    @pytest.mark.parametrize("form", PATH_FORMS)
+    def test_pool_writers_never_corrupt(self, tmp_path, form):
+        spec = str(_store_path(form, tmp_path))
         with multiprocessing.Pool(processes=4) as pool:
             outcomes = pool.map(_store_worker, [(spec, i) for i in range(16)])
         assert all(shared == 123 for shared, _ in outcomes)

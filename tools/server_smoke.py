@@ -75,7 +75,7 @@ def main() -> int:
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
 
     with tempfile.TemporaryDirectory(prefix="repro-server-smoke-") as tmp:
-        store_spec = f"sqlite:{tmp}/store.sqlite"
+        store_path = f"{tmp}/store.sqlite"
         port_file = Path(tmp) / "port"
         # Stderr goes to a file, not a pipe: the pool's worker processes
         # inherit the stream, and a pipe would make the final read block on
@@ -89,7 +89,7 @@ def main() -> int:
                     "--port", "0", "--port-file", str(port_file),
                     "--workers", "2", "--max-budget", "100000",
                     "--max-inflight", str(MAX_INFLIGHT),
-                    "--store-path", store_spec,
+                    "--store-path", store_path,
                 ],
                 cwd=ROOT,
                 env=env,
@@ -183,13 +183,13 @@ def main() -> int:
             # the server wrote and produces the identical payload.
             from repro.api import Session
 
-            offline = Session().budget(2000).store(store_spec).analyze("gemm", "mini")
+            offline = Session().budget(2000).store(store_path).analyze("gemm", "mini")
             assert json.dumps(offline.to_dict(), sort_keys=True) == json.dumps(
                 envelope["result"], sort_keys=True
             ), "offline Session.analyze() payload differs from the server's"
 
             offline_grid = (
-                Session().machine((32768,)).budget(2000).store(store_spec)
+                Session().machine((32768,)).budget(2000).store(store_path)
                 .explore("gemm", tiles=[1, 2], capacities=[1024, 32768])
             )
             assert offline_grid.table_digest() == explore["meta"]["table_digest"], (
