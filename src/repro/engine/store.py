@@ -166,8 +166,8 @@ def validate_store_path(path) -> str:
 
     Raises ``ValueError`` with a one-line, actionable message when the
     location cannot work — the database path exists but is not a regular
-    file, is a file that is not a SQLite database (the store would bury it
-    as a corrupt database on its first write), or the nearest existing
+    file, is a file that is not a SQLite database (the store would move it
+    aside as a corrupt database on its first write), or the nearest existing
     ancestor is not writable — instead of letting a deep ``OSError`` (or a
     silently disabled store) surface mid-analysis.
     """
@@ -310,9 +310,11 @@ class AnalysisStore:
     reads from worker threads).  Every operation is total: SQLite and I/O
     failures surface as misses (reads) or dropped writes, never as
     exceptions, since the store is an accelerator and must not fail the
-    analysis it accelerates.  A corrupt database file is buried: the first
-    write that finds it deletes the database (plus WAL side files) and
-    recreates it empty; reads report misses meanwhile.
+    analysis it accelerates.  A file SQLite cannot read (a corrupt database,
+    or a path mistakenly pointed at some other file) is never deleted: the
+    first write that finds it renames it (plus WAL side files) to
+    ``<path>.corrupt`` and starts an empty database; reads report misses
+    meanwhile.
     """
 
     def __init__(
@@ -398,11 +400,11 @@ class AnalysisStore:
                 # write and keep the database.
                 return 0
             except sqlite3.DatabaseError:
-                # Corrupt database: bury it and retry once on a fresh one.
+                # Corrupt database, or a file that is not one: move it aside
+                # (never delete it) and retry once on a fresh database.
                 self._close()
-                for suffix in ("", "-wal", "-shm"):
-                    _unlink_quietly(Path(str(self.path) + suffix))
                 try:
+                    _move_aside(self.path)
                     self._connection().execute(_UPSERT, row)
                 except (sqlite3.Error, OSError):
                     return 0
@@ -422,9 +424,7 @@ class AnalysisStore:
         Version-stale and corrupt entries are deleted and counted as
         invalidations (plus the miss the caller observes).
         """
-        rows = self._execute(
-            "SELECT payload FROM entries WHERE namespace = ? AND digest = ?", (namespace, digest)
-        )
+        rows = self._execute("SELECT payload FROM entries WHERE namespace = ? AND digest = ?", (namespace, digest))
         if not rows:
             self._stats.misses += 1
             return None
@@ -505,9 +505,7 @@ class AnalysisStore:
         the eviction order stable across runs and processes even for entries
         published in the same tick (routine under the mp pool).
         """
-        rows = self._execute(
-            "SELECT namespace, digest, size FROM entries ORDER BY recency_ns, namespace, digest"
-        ) or []
+        rows = self._execute("SELECT namespace, digest, size FROM entries ORDER BY recency_ns, namespace, digest") or []
         total = sum(size for _, _, size in rows)
         for namespace, digest, size in rows:
             if total <= self.max_bytes:
@@ -530,11 +528,18 @@ class _StaleEntry(Exception):
     """Internal: entry exists but belongs to a different code version."""
 
 
-def _unlink_quietly(path: Path) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
+def _move_aside(path: Path) -> None:
+    """Rename ``path`` and its WAL side files to ``<path>.corrupt*``.
+
+    The side files go first, so a fresh database never replays a stale WAL;
+    an earlier ``.corrupt`` copy is replaced.  Raises ``OSError`` when a file
+    that exists cannot be moved.
+    """
+    for suffix in ("-wal", "-shm", ""):
+        try:
+            os.replace(f"{path}{suffix}", f"{path}.corrupt{suffix}")
+        except FileNotFoundError:
+            pass
 
 
 class PersistentCardinalityCache(CardinalityCache):

@@ -179,9 +179,25 @@ class TestStoreFlags:
         from repro.cli import _parser
 
         store = str(tmp_path / "store")
-        argv = ["serve", "--host", "127.0.0.1", "--port", "0", "--port-file", str(tmp_path / "port"),
-                "--workers", "1", "--store-path", store, "--store-backend", "sqlite",
-                "--max-budget", "150", "--budget", "150"]
+        argv = [
+            "serve",
+            "--host",
+            "127.0.0.1",
+            "--port",
+            "0",
+            "--port-file",
+            str(tmp_path / "port"),
+            "--workers",
+            "1",
+            "--store-path",
+            store,
+            "--store-backend",
+            "sqlite",
+            "--max-budget",
+            "150",
+            "--budget",
+            "150",
+        ]
         args = _parser().parse_args(argv)
         assert (args.store_path, args.store_backend, args.workers) == (store, "sqlite", 1)
         for backend in ("dir", "redis"):

@@ -62,9 +62,7 @@ def _digests(store):
 
 
 def _payload(store, namespace, digest):
-    rows = store._execute(
-        "SELECT payload FROM entries WHERE namespace = ? AND digest = ?", (namespace, digest)
-    )
+    rows = store._execute("SELECT payload FROM entries WHERE namespace = ? AND digest = ?", (namespace, digest))
     return rows[0][0] if rows else None
 
 
@@ -174,7 +172,7 @@ class TestStoreSpecs:
         assert AnalysisStore(validate_store_path(str(db))).get_cardinality("ab" * 32) == 3
 
     def test_validate_rejects_non_database_file(self, tmp_path):
-        # The store buries a corrupt database on its first write, so a file
+        # The store moves a corrupt database aside on its first write, so a file
         # that is not one must never become the store.
         target = tmp_path / "notes.txt"
         target.write_text("not a database")
@@ -341,7 +339,6 @@ class TestSQLiteBackend:
         store.put_cardinality("ab" * 32, 5)  # first write buries the corpse
         assert store.get_cardinality("ab" * 32) == 5
 
-
     def test_locked_database_drops_the_write_and_keeps_entries(self, tmp_path, monkeypatch):
         # A writer that outwaits the busy timeout must not take the lock for
         # corruption: the shared database and its entries stay.
@@ -357,6 +354,7 @@ class TestSQLiteBackend:
         reader = AnalysisStore(tmp_path)
         assert reader.get_cardinality("ab" * 32) == 5
         assert reader.get_cardinality("cd" * 32) is None
+
 
 # ----------------------------------------------------------------------
 # Persistent cardinality tier
@@ -466,6 +464,17 @@ class TestIncrementalBatch:
         warm = BatchEngine(1, store_path=str(old)).run(self.SPECS())
         assert warm.cached_count == 2
         assert [r.result.to_dict() for r in warm] == [r.result.to_dict() for r in cold]
+
+    def test_store_path_at_an_ordinary_file_keeps_its_bytes(self, tmp_path):
+        # The engine takes its path unvalidated; a file SQLite cannot read is
+        # moved aside for a fresh database, never deleted.
+        notes = tmp_path / "results.json"
+        notes.write_bytes(b'{"jobs": []}\n' * 50)
+        cold = BatchEngine(1, store_path=str(notes)).run(self.SPECS())
+        assert cold.cached_count == 0 and cold.ok_count == 2
+        assert (tmp_path / "results.json.corrupt").read_bytes() == b'{"jobs": []}\n' * 50
+        warm = BatchEngine(1, store_path=str(notes)).run(self.SPECS())
+        assert warm.cached_count == 2
 
     def test_store_less_engine_unchanged(self):
         batch = BatchEngine(1).run(self.SPECS())
