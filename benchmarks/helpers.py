@@ -10,8 +10,8 @@ slower than isl, so the benchmark suite uses a *scaled benchmark suite*:
 representative kernels with small problem sizes, and element size equal to
 the cache line size for the kernels used in timing sweeps (which keeps the
 stack-distance polynomials div-free).  Dedicated line-granularity workloads
-(8 elements per line) exercise equalization/rasterization/partial enumeration
-for the experiments that study exactly those code paths (Figure 14, Table 1).
+exercise partial enumeration for the experiments that study exactly that
+code path (Figure 14, Table 1).
 
 Simulator backends: every trace-driven helper (``run_simulator``,
 ``reference_misses``) runs on the vectorized NumPy engine, exactly like the
@@ -224,7 +224,7 @@ def nested_triangular(n=8, element_size=LINE) -> Scop:
 
 
 def copy_line_grained(n=16) -> Scop:
-    """8 elements per cache line; exercises the floor-elimination paths."""
+    """8 elements per cache line: floor divs, but only affine distance pieces."""
     b = ScopBuilder("copy-lines", context={"N": n}, element_size=8)
     A = b.array("A", (n,))
     B = b.array("B", (n,))

@@ -40,8 +40,6 @@ __all__ = ["AnalysisRequest", "Session", "SessionConfigError"]
 
 #: ModelOptions switches settable through :meth:`Session.options`.
 _OPTION_NAMES = (
-    "equalization",
-    "rasterization",
     "partial_enumeration",
     "fallback",
     "cross_check",
@@ -107,8 +105,6 @@ class Session:
         self._tiles: Tuple[int, ...] = ()
         self._line_sizes: Tuple[int, ...] = ()
         self._toggles = {
-            "equalization": True,
-            "rasterization": True,
             "partial_enumeration": True,
             "fallback": True,
             "cross_check": False,
@@ -253,9 +249,8 @@ class Session:
         return self
 
     def options(self, **toggles: bool) -> "Session":
-        """Set model switches: ``equalization``, ``rasterization``,
-        ``partial_enumeration``, ``fallback`` (trace fallback on symbolic
-        failure), ``cross_check``."""
+        """Set model switches: ``partial_enumeration``, ``fallback`` (trace
+        fallback on symbolic failure), ``cross_check``."""
         unknown = set(toggles) - set(_OPTION_NAMES)
         if unknown:
             raise SessionConfigError(
@@ -269,8 +264,6 @@ class Session:
     def configure(self, options: ModelOptions) -> "Session":
         """Adopt the switches of an existing :class:`ModelOptions` (migration aid)."""
         self._toggles.update(
-            equalization=options.equalization,
-            rasterization=options.rasterization,
             partial_enumeration=options.partial_enumeration,
             fallback=options.fallback_to_simulation,
             cross_check=options.cross_check,
@@ -299,8 +292,6 @@ class Session:
 
     def model_options(self, *, fallback: Optional[bool] = None) -> ModelOptions:
         return ModelOptions(
-            equalization=self._toggles["equalization"],
-            rasterization=self._toggles["rasterization"],
             partial_enumeration=self._toggles["partial_enumeration"],
             fallback_to_simulation=(
                 self._toggles["fallback"] if fallback is None else fallback
@@ -345,8 +336,6 @@ class Session:
             line_size=self._machine.line_size,
             levels=sizes,
             fallback=self._toggles["fallback"],
-            equalization=self._toggles["equalization"],
-            rasterization=self._toggles["rasterization"],
             partial_enumeration=self._toggles["partial_enumeration"],
             symbolic_work_budget=self._budget,
             cross_check=self._toggles["cross_check"],

@@ -4,11 +4,10 @@ Given the distance pieces of an access, the capacity misses for a cache of
 ``C`` lines are the iteration-domain points whose stack distance exceeds
 ``C``.  :meth:`CapacityCounter.count_curve` answers a whole sorted grid of
 capacities in one walk over the pieces: affine (degree <= 1) pieces are
-counted symbolically along the capacity axis; non-affine pieces first go
-through the floor-elimination rewrites (equalization, rasterization) and
-finally through *partial enumeration*: only the dimensions that make the
-polynomial non-affine are enumerated explicitly while the remaining
-dimensions are still counted symbolically.
+counted symbolically along the capacity axis; non-affine pieces go through
+*partial enumeration*: only the dimensions that make the polynomial
+non-affine are enumerated explicitly while the remaining dimensions are
+still counted symbolically.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from ..isl.qpoly import Div, QPoly
 from ..isl.veceval import check_backend
 from ..isl.work import charge
 from .distance import DistancePiece
-from .elimination import equalize, rasterize
 from .prevmap import ModelFallbackRequired
 from .regions import feasible
 
@@ -62,8 +60,7 @@ class CapacityCounter:
     symbolic machinery cannot produce it — the counter never approximates.
 
     ``options`` is the model's :class:`~repro.core.model.ModelOptions`: the
-    counter reads the three Figure 14 toggles (``equalization``,
-    ``rasterization``, ``partial_enumeration``) and ``backend``
+    counter reads the Figure 14 toggle ``partial_enumeration`` and ``backend``
     (``"numpy"|"python"``, see :func:`repro.isl.veceval.check_backend`),
     which selects how parametric chamber counts are evaluated over capacity
     grids; both backends produce byte-identical results, NumPy just does it
@@ -73,9 +70,9 @@ class CapacityCounter:
     memoizes the symbolic counts; sharing one cache across the accesses of an
     analysis means e.g. a first-touch domain counted once is served from the
     cache when a constant-distance piece needs it again.  The counter also
-    memoizes per-piece rewrites, partial-enumeration expansions and
-    parametric chambers internally (keyed by piece identity), so asking for
-    several grids reuses the capacity-independent work.
+    memoizes per-piece partial-enumeration expansions and parametric
+    chambers internally (keyed by piece identity), so asking for several
+    grids reuses the capacity-independent work.
 
     Every piece visited by :meth:`count_curve` charges one unit to the active
     work budget (:func:`repro.isl.work.charge`), as do the symbolic
@@ -105,11 +102,10 @@ class CapacityCounter:
         self.cardinality_cache = cardinality_cache
         #: Evaluation backend for parametric chamber grids.
         self.backend = check_backend(options.backend)
-        # The floor-elimination rewrites and the partial-enumeration point
-        # expansion do not depend on the capacity — memoize them per piece
-        # object so a later grid reuses the work.  Keyed by id() with the
-        # piece kept in the value so identity cannot be recycled.
-        self._rewrite_cache: Dict[int, tuple] = {}
+        # The partial-enumeration point expansion does not depend on the
+        # capacity — memoize it per piece object so a later grid reuses the
+        # work.  Keyed by id() with the piece kept in the value so identity
+        # cannot be recycled.
         self._enumeration_cache: Dict[int, tuple] = {}
         #: Memoized parametric miss counts per affine piece (the chambers of
         #: the capacity axis); ``None`` records a failed parametric attempt
@@ -137,9 +133,8 @@ class CapacityCounter:
           fails (or produces a non-monotone artefact) the piece degrades to
           exact per-capacity counting;
         * a **non-affine** piece goes through the memoized
-          equalization/rasterization rewrites and, when neither applies, the
-          memoized partial-enumeration point expansion, with the bound
-          sub-pieces handled as above.
+          partial-enumeration point expansion, with the bound sub-pieces
+          handled as above.
 
         Returns one miss count per entry of ``capacities``, each exact for
         that capacity, at a cost that is nearly independent of the grid
@@ -170,31 +165,8 @@ class CapacityCounter:
         if polynomial.is_affine():
             self._curve_affine(piece, grid, totals)
             return
-        # Non-affine piece: try the floor-elimination rewrites first, then
-        # partial enumeration.
-        rewritten = self._nonaffine_rewrite(piece)
-        if rewritten is not None:
-            for sub in rewritten:
-                self._curve_piece(sub, grid, totals)
-            return
         self.stats.nonaffine_pieces += 1
         self._curve_partial_enumeration(piece, grid, totals)
-
-    def _nonaffine_rewrite(self, piece: DistancePiece):
-        """Memoized equalization/rasterization of one non-affine piece.
-
-        Returns the sub pieces, or ``None`` when no rewrite applies.  Caching
-        the sub pieces also makes their *own* nested rewrites cache hits on
-        later grids, because the recursion sees the identical objects again.
-        """
-        cached = self._rewrite_cache.get(id(piece))
-        if cached is not None and cached[0] is piece:
-            return cached[1]
-        rewritten = equalize(piece) if self.options.equalization else None
-        if rewritten is None and self.options.rasterization:
-            rewritten = rasterize(piece)
-        self._rewrite_cache[id(piece)] = (piece, rewritten)
-        return rewritten
 
     def _curve_constant(self, piece: DistancePiece, grid: List[int], totals: List[int]) -> None:
         """A constant distance ``v`` misses exactly the capacities below ``v``."""
@@ -230,7 +202,7 @@ class CapacityCounter:
     ) -> Optional[List[Piece]]:
         """Chambers of ``|{x in domain : poly(x) > C}|`` over the capacity C.
 
-        Memoized per piece object (like the rewrite and enumeration caches);
+        Memoized per piece object (like the enumeration cache);
         a failed attempt is memoized as ``None`` so later grids skip straight
         to the per-capacity fallback.  Partial-enumeration bound sub-pieces
         pass ``memoize=False``: they are fresh objects per expansion replay

@@ -140,8 +140,6 @@ class SymbolicProbe:
 class ModelOptions:
     """Behavioural switches of the analytical model."""
 
-    equalization: bool = True
-    rasterization: bool = True
     partial_enumeration: bool = True
     #: Fall back to trace-based computation when the symbolic pipeline cannot
     #: handle the program exactly (keeps results exact; sets ``used_fallback``).

@@ -252,8 +252,6 @@ def _execute_job(payload: Tuple[int, JobSpec, Optional[str]]) -> JobRecord:
             ),
         )
         options = ModelOptions(
-            equalization=spec.equalization,
-            rasterization=spec.rasterization,
             partial_enumeration=spec.partial_enumeration,
             fallback_to_simulation=spec.fallback,
             symbolic_work_budget=spec.symbolic_work_budget,

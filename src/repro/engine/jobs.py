@@ -35,8 +35,6 @@ class JobSpec:
     #: Cache sizes in bytes, innermost level first (L1, L2, ...).
     levels: Tuple[int, ...] = (32 * 1024,)
     fallback: bool = True
-    equalization: bool = True
-    rasterization: bool = True
     partial_enumeration: bool = True
     #: Deterministic symbolic work budget (``None`` = unlimited); identical
     #: on every worker, so budgeted fallback decisions are reproducible.
@@ -73,8 +71,6 @@ class JobSpec:
             self.line_size,
             self.levels,
             self.fallback,
-            self.equalization,
-            self.rasterization,
             self.partial_enumeration,
             self.symbolic_work_budget,
             self.cross_check,
@@ -102,11 +98,7 @@ def expand_matrix(
     The order is row-major over the argument order (kernels outermost), so a
     batch run enumerates jobs the same way regardless of worker count.
     """
-    toggles = {
-        "equalization": True,
-        "rasterization": True,
-        "partial_enumeration": True,
-    }
+    toggles = {"partial_enumeration": True}
     if options:
         unknown = set(options) - set(toggles)
         if unknown:

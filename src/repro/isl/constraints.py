@@ -319,7 +319,7 @@ class ConstraintSystem:
             for sym, _ in row[1]:
                 if sym not in columns and not isinstance(sym, str) and not names.isdisjoint(sym.free_variables()):
                     value = floor_div(sym.argument().substitute(assignment), sym.denominator)
-                    columns[sym] = _column(*value.affine_coefficients(), denominator)
+                    columns[sym] = _column(*value.affine_coefficients(), denominator) if value.is_affine() else None
                 if sym in columns:
                     touched = True
                     rebuild = rebuild or columns[sym] is None

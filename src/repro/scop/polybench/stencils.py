@@ -2,7 +2,7 @@
 
 adi, fdtd-2d, heat-3d, jacobi-1d, jacobi-2d and seidel-2d.  Stencils access
 neighbouring elements (``i-1``, ``i+1``) which exercises the offset handling
-of the cache-line mapping (equalization in the paper's Section 3.3).
+of the cache-line mapping.
 """
 
 from __future__ import annotations

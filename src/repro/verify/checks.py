@@ -250,7 +250,7 @@ def _check_affine(scop: Scop) -> Iterator[Diagnostic]:
                 message=(
                     f"index {dimension} of access to {ref.array.name} "
                     f"({index}) is not affine; counting will fall back to "
-                    "rasterization, partial enumeration or the trace"
+                    "partial enumeration or the trace"
                 ),
                 statement=statement.name,
                 array=ref.array.name,

@@ -53,7 +53,7 @@ class CostReport:
     budget: Optional[int]
     #: Distance pieces counted by the completed probe (``"fits"`` only).
     piece_count: int = 0
-    #: Pieces that needed rasterization / partial enumeration.
+    #: Pieces that needed partial enumeration.
     nonaffine_pieces: int = 0
     #: Grid points visited by partial enumeration.
     enumerated_points: int = 0
@@ -168,7 +168,7 @@ def cost_diagnostics(report: CostReport) -> List[Diagnostic]:
                     message=(
                         f"{report.nonaffine_pieces} of {report.piece_count} "
                         "distance pieces are non-affine and were counted by "
-                        "rasterization/partial enumeration "
+                        "partial enumeration "
                         f"({report.enumerated_points} points enumerated)"
                     ),
                 )

@@ -21,8 +21,7 @@ Codes
     An array is written but its values are never read back.
 ``NONAFF``
     A non-affine access expression (or a non-affine distance piece found by
-    the cost probe) that forces rasterization, partial enumeration or the
-    trace fallback.
+    the cost probe) that forces partial enumeration or the trace fallback.
 ``COST``
     The symbolic-cost prediction: whether the configured work budget will
     trip before the symbolic analysis completes.

@@ -191,6 +191,12 @@ class TestSessionBuilder:
             Session().workers(0)
         with pytest.raises(SessionConfigError, match="unknown model options"):
             Session().options(bogus=True)
+        with pytest.raises(
+            SessionConfigError,
+            match="unknown model options: equalization; "
+            "available: partial_enumeration, fallback, cross_check",
+        ):
+            Session().options(equalization=False)
         with pytest.raises(RegistryError, match="unknown kernel"):
             Session().kernels("gemm", "not-a-kernel")
 
@@ -242,10 +248,10 @@ class TestSessionBuilder:
 
     def test_configure_adopts_model_options(self):
         options = ModelOptions(
-            equalization=False, fallback_to_simulation=False, symbolic_work_budget=42
+            partial_enumeration=False, fallback_to_simulation=False, symbolic_work_budget=42
         )
         resolved = Session().configure(options).model_options()
-        assert resolved.equalization is False
+        assert resolved.partial_enumeration is False
         assert resolved.fallback_to_simulation is False
         assert resolved.symbolic_work_budget == 42
 

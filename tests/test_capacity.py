@@ -1,10 +1,10 @@
-"""Capacity counting under the Figure 14 toggles, with partial enumeration.
+"""Capacity counting under the Figure 14 toggle, partial enumeration.
 
 A three-deep triangular nest with one element per cache line yields
-non-affine stack distances, so its capacity misses go through the
-floor-elimination rewrites and partial enumeration.  The counter reads the
-three toggles from the model's :class:`~repro.core.ModelOptions`; under
-every setting the symbolic counts must equal the exact trace.
+non-affine stack distances, so its capacity misses go through partial
+enumeration.  The counter reads the toggle from the model's
+:class:`~repro.core.ModelOptions`; under either setting the symbolic counts
+must equal the exact trace.
 """
 
 import pytest
@@ -13,7 +13,7 @@ import repro.core.capacity as capacity
 from repro.core import CacheLevelSpec, CacheModel, MachineModel, ModelOptions
 from repro.scop import ScopBuilder
 
-ALL_OFF = dict(equalization=False, rasterization=False, partial_enumeration=False)
+ALL_OFF = dict(partial_enumeration=False)
 
 
 def _nested_triangular(n=5):
@@ -30,22 +30,13 @@ def _nested_triangular(n=5):
 
 @pytest.mark.parametrize("toggles", [{}, ALL_OFF], ids=["defaults", "all-off"])
 def test_toggles_reach_the_counter_and_counts_equal_the_trace(monkeypatch, toggles):
-    calls = {"rewrites": 0, "enumerated_vars": []}
-
-    def spy_rewrite(rewrite):
-        def wrapper(piece):
-            calls["rewrites"] += 1
-            return rewrite(piece)
-
-        return wrapper
+    calls = {"enumerated_vars": []}
 
     def spy_enumerate(domain, variables):
         calls["enumerated_vars"].append(set(variables))
         return enumerate_points(domain, variables)
 
     enumerate_points = capacity.enumerate_points
-    monkeypatch.setattr(capacity, "equalize", spy_rewrite(capacity.equalize))
-    monkeypatch.setattr(capacity, "rasterize", spy_rewrite(capacity.rasterize))
     monkeypatch.setattr(capacity, "enumerate_points", spy_enumerate)
 
     scop = _nested_triangular()
@@ -62,11 +53,8 @@ def test_toggles_reach_the_counter_and_counts_equal_the_trace(monkeypatch, toggl
 
     assert calls["enumerated_vars"]
     if toggles:
-        # No rewrite is tried, and every point expansion binds all loops.
-        assert calls["rewrites"] == 0
+        # Every point expansion binds all loops.
         assert all(names == {"i", "j", "k"} for names in calls["enumerated_vars"])
     else:
-        # Both rewrites are tried, and partial enumeration leaves some
-        # dimensions symbolic.
-        assert calls["rewrites"] > 0
+        # Partial enumeration leaves some dimensions symbolic.
         assert any(len(names) < 3 for names in calls["enumerated_vars"])

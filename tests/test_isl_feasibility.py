@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_model_vs_simulator import build_copy_kernel, build_stencil_1d
 from test_program_memo import SYMBOLIC_MACHINE, _knl_scop
 
@@ -267,6 +267,14 @@ def _substituted(substitute, system, assignment):
 
 @given(substitutions())
 @settings(max_examples=400, deadline=None)
+# A div whose substituted argument is non-affine but whose floor cancels
+# against the rest of the row: both paths must give the trivial constraint.
+@example(
+    (
+        ConstraintSystem([Constraint(-y + floor_div(-x + 3 * y, 2), INEQ)]),
+        {"x": QPoly.variable("w") * x, "y": QPoly.variable("w") * x},
+    )
+)
 def test_row_substitution_matches_the_qpoly_path(case):
     system, assignment = case
 

@@ -68,6 +68,8 @@ class TestBuildSpec:
     def test_unknown_field_rejected(self):
         with pytest.raises(RequestError, match="unknown request field"):
             build_spec({"kernel": "gemm", "kernell": "typo"})
+        with pytest.raises(RequestError, match="unknown model options: rasterization"):
+            build_spec({"kernel": "gemm", "options": {"rasterization": False}})
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(RequestError, match="unknown kernel"):
