@@ -42,9 +42,12 @@ def test_fig14_optimization_ablation(benchmark):
     print(format_table(["kernel", "configuration", "time [s]", "#pieces", "#points", "L1 misses"], rows))
     # All configurations agree on the miss counts (asserted inside), and
     # partial enumeration never enumerates more points than binding every
-    # loop dimension does.
+    # loop dimension does.  On nested-tri it enumerates strictly fewer, at
+    # the smoke size too (N=5: 58 against 59 points), so the assertion fails
+    # if partial enumeration stops binding fewer loops.
     by_kernel = {}
     for name, label, seconds, pieces, points, misses in rows:
         by_kernel.setdefault(name, {})[label] = points
     for name, configs in by_kernel.items():
         assert configs["all optimisations"] <= configs["no partial enumeration"]
+    assert by_kernel["nested-tri"]["all optimisations"] < by_kernel["nested-tri"]["no partial enumeration"]

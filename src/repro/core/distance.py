@@ -93,10 +93,13 @@ class StackDistanceAnalysis:
     the calling thread or task context) one unit per reuse-window system
     that reaches its leaf and one per accumulation step, so heavy kernels
     trip a deterministic fallback.  The reuse-window search checks each
-    prefix of a system (target region with witness piece, then each lower
-    and each upper lex disjunct) before building anything under it; every
-    such check is a feasibility call and costs its unit there, and a leaf
-    under an empty prefix is never built, charged or checked.
+    prefix of a system (target region with witness domain, then each lower
+    and each upper lex disjunct, then each witness piece) before building
+    anything under it; every such check is a feasibility call and costs its
+    unit there, and a leaf under an empty prefix is never built, charged or
+    checked.  A checked prefix carries the integer point that proved it
+    feasible, so an extension whose new rows hold at that point needs no
+    search of its own (:func:`repro.isl.constraints.feasible_rational`).
     """
 
     def __init__(self, scop: Scop, *, line_size: int = 64) -> None:
@@ -104,6 +107,9 @@ class StackDistanceAnalysis:
         self.line_size = line_size
         self.prev_builder = PrevMapBuilder(scop, line_size=line_size)
         self.schedule_length = scop.schedule_length()
+        #: Lex disjuncts by (a, b, strict): a window bound meets the same
+        #: witness schedule under every region of a target.
+        self._disjuncts: Dict[Tuple[Tuple[QPoly, ...], Tuple[QPoly, ...], bool], List[List[Constraint]]] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -167,50 +173,65 @@ class StackDistanceAnalysis:
     ) -> List[Tuple[ConstraintSystem, QPoly]]:
         """First-touch counts contributed by every access of the program.
 
-        A leaf system is region ∧ witness domain ∧ witness piece ∧ one lower,
-        one upper and one first-touch lex disjunct, built in that order.  Each
-        prefix is checked once and shared by every leaf under it.
+        A leaf system is region ∧ witness domain ∧ one lower and one upper
+        lex disjunct ∧ witness piece ∧ one first-touch lex disjunct, built in
+        that order.  The lower and upper disjuncts do not depend on the
+        piece, so each (lower, upper) prefix is checked once and shared by
+        every piece and leaf under it.
         """
         contributions: List[Tuple[ConstraintSystem, QPoly]] = []
         for witness in witnesses:
-            lower_disjuncts = lex_order_disjuncts(window_start, witness.schedule, strict=False)
-            upper_disjuncts = lex_order_disjuncts(witness.schedule, window_end, strict=False)
+            lower_disjuncts = self._lex_disjuncts(window_start, witness.schedule, strict=False)
+            upper_disjuncts = self._lex_disjuncts(witness.schedule, window_end, strict=False)
             if not lower_disjuncts or not upper_disjuncts:
                 continue
-            with_witness = region.domain.conjoin(witness.domain)
-
+            pieces: List[Tuple[_WitnessPiece, List[List[Constraint]]]] = []
             for piece in witness.pieces:
                 if piece.prev_schedule is None:
-                    first_touch_disjuncts: List[List[Constraint]] = [[]]
-                else:
-                    first_touch_disjuncts = lex_order_disjuncts(piece.prev_schedule, window_start, strict=True)
-                    if not first_touch_disjuncts:
-                        continue
-                base = with_witness.conjoin(piece.domain)
-                if not feasible(base):
+                    pieces.append((piece, [[]]))
                     continue
+                first_touch_disjuncts = self._lex_disjuncts(piece.prev_schedule, window_start, strict=True)
+                if first_touch_disjuncts:
+                    pieces.append((piece, first_touch_disjuncts))
+            if not pieces:
+                continue
+            with_witness = region.domain.conjoin(witness.domain)
+            if not feasible(with_witness):
+                continue
 
-                for lower in lower_disjuncts:
-                    after_lower = _extend(base, lower)
-                    if after_lower is None:
+            for lower in lower_disjuncts:
+                after_lower = _extend(with_witness, lower)
+                if after_lower is None:
+                    continue
+                for upper in upper_disjuncts:
+                    after_upper = _extend(after_lower, upper)
+                    if after_upper is None:
                         continue
-                    for upper in upper_disjuncts:
-                        after_upper = _extend(after_lower, upper)
-                        if after_upper is None:
+                    for piece, first_touch_disjuncts in pieces:
+                        after_piece = _extend(after_upper, piece.domain.constraints)
+                        if after_piece is None:
                             continue
                         for first_touch in first_touch_disjuncts:
                             charge()
-                            system = _extend(after_upper, first_touch)
+                            system = _extend(after_piece, first_touch)
                             if system is None:
                                 continue
                             try:
-                                pieces = count_points(system, witness.loop_vars)
+                                counted = count_points(system, witness.loop_vars)
                             except CountingError as exc:
                                 raise ModelFallbackRequired(
                                     f"cannot count reuse window of {witness.access!r}: {exc}"
                                 ) from exc
-                            contributions.extend(pieces)
+                            contributions.extend(counted)
         return contributions
+
+    def _lex_disjuncts(self, a: Sequence[QPoly], b: Sequence[QPoly], *, strict: bool) -> List[List[Constraint]]:
+        """:func:`~repro.core.regions.lex_order_disjuncts`, built once per analysis."""
+        key = (tuple(a), tuple(b), strict)
+        disjuncts = self._disjuncts.get(key)
+        if disjuncts is None:
+            disjuncts = self._disjuncts[key] = lex_order_disjuncts(a, b, strict=strict)
+        return disjuncts
 
     # ------------------------------------------------------------------
     # Piecewise accumulation

@@ -9,10 +9,14 @@ The module provides the operations the cache model pipeline needs:
 
 * normalisation to integer coefficients,
 * substitution, as a column update on each constraint's integer row,
-* integer rows with interval propagation and one Fourier-Motzkin engine on
-  them, used for the feasibility checks that prune empty pieces (with the
-  gcd tightening of each row), for enumeration ranges and for the exact
-  projection of the parametric lexicographic optimisation,
+* integer rows with interval propagation, a dive for an integer point and
+  one Fourier-Motzkin engine on them.  The feasibility checks that prune
+  empty pieces use all three: propagation proves emptiness, the dive proves
+  non-emptiness with a point that the system then carries through
+  :meth:`ConstraintSystem.copy` and :meth:`ConstraintSystem.add`, and
+  Fourier-Motzkin (with the gcd tightening of each row) decides only what
+  the dive leaves open.  The same elimination gives enumeration ranges and
+  the exact projection of the parametric lexicographic optimisation,
 * bound extraction for a variable (used by symbolic counting and by the
   parametric lexicographic optimisation), and
 * explicit enumeration of integer points (test oracle and partial-enumeration
@@ -225,7 +229,7 @@ class ConstraintSystem:
     distinction (counting, lexicographic optimisation, enumeration).
     """
 
-    __slots__ = ("constraints", "_keys", "_ineq_by_coeffs", "_false", "_row_set")
+    __slots__ = ("constraints", "_keys", "_ineq_by_coeffs", "_false", "_row_set", "_point")
 
     def __init__(self, constraints: Optional[Iterable[Constraint]] = None) -> None:
         self.constraints: List[Constraint] = []
@@ -237,6 +241,10 @@ class ConstraintSystem:
         #: Whether some constraint is a false constant or an integer-empty equality.
         self._false = False
         self._row_set: Optional[frozenset] = None
+        #: An integer point of the system, by variable name, once one is known
+        #: (:func:`feasible_rational`); kept by :meth:`add` while every row
+        #: added holds at it.
+        self._point: Optional[Point] = None
         if constraints:
             for constraint in constraints:
                 self.add(constraint)
@@ -273,6 +281,8 @@ class ConstraintSystem:
             self.constraints.append(normalized)
         self._keys.add(row)
         self._row_set = None
+        if self._point is not None and not _holds(row, self._point):
+            self._point = None
 
     def copy(self) -> "ConstraintSystem":
         clone = ConstraintSystem()
@@ -281,6 +291,7 @@ class ConstraintSystem:
         clone._ineq_by_coeffs = dict(self._ineq_by_coeffs)
         clone._false = self._false
         clone._row_set = self._row_set
+        clone._point = self._point
         return clone
 
     def conjoin(
@@ -510,7 +521,12 @@ def bounds_for(system: ConstraintSystem, name: str) -> Tuple[List[Bound], List[B
 # ----------------------------------------------------------------------
 # Feasibility
 # ----------------------------------------------------------------------
-_FEASIBILITY_CACHE: Dict[frozenset, bool] = {}
+#: An integer point as ``{variable name: value}``; divs take their floors.
+Point = Dict[str, int]
+
+#: Verdicts by row set: ``False``, an integer point, or ``True`` where only
+#: Fourier-Motzkin could not refute the system.
+_FEASIBILITY_CACHE: Dict[frozenset, Union[bool, Point]] = {}
 
 #: Fourier-Motzkin gives up (answers "maybe feasible") past this many rows
 #: or variables.
@@ -519,44 +535,63 @@ _MAX_VARS = 24
 
 
 def feasible_rational(system: ConstraintSystem) -> bool:
-    """Sound emptiness pruning: ``False`` means definitely integer-empty.
+    """Emptiness pruning: ``False`` means integer-empty, ``True`` nearly always an integer point.
 
     Every div is renamed to a fresh variable bounded by its two defining
     rows and the system becomes integer rows.  Interval propagation over
-    those rows runs first (:func:`_refuted_by_bounds`); it rounds every
-    bound to an integer, so it refutes some systems that have rational
-    points.  When it cannot decide, Fourier-Motzkin eliminates every variable,
+    those rows runs first (:func:`_propagate`); it rounds every bound to an
+    integer, so ``False`` from it proves integer emptiness.  Otherwise a dive
+    (:func:`_dive`) fixes one column at a time inside the propagated bounds
+    and checks the integer point it reaches against every row.  A point
+    found is stored on the system, whose :meth:`~ConstraintSystem.copy` and
+    :meth:`~ConstraintSystem.add` keep it while each added row holds at it,
+    so an extension of a checked system is often decided by its parent's
+    point alone.
+
+    Only when the dive fails does Fourier-Motzkin eliminate every variable,
     substituting equalities first.  Each derived inequality is divided by
     the gcd of its variable coefficients with its constant floored, and a
     derived equality whose gcd does not divide its constant refutes the
-    system; both keep every integer point, so ``False`` is a proof of
-    integer emptiness and ``True`` may be an integer-empty system: the safe
-    direction for pruning pieces.  Systems with more than ``_MAX_VARS``
-    variables skip the elimination, and those whose elimination grows past
-    ``_MAX_ROWS`` rows stop it; both answer ``True``.  A system marked false
-    as it was built answers ``False`` without a unit.  Results are memoised
-    on the system's integer rows (:meth:`ConstraintSystem.row_set`), never
-    on constraint objects.
+    system; both keep every integer point, so its ``False`` is a proof of
+    integer emptiness too, but its ``True`` may be an integer-empty system:
+    the safe direction for pruning pieces.  Systems with more than
+    ``_MAX_VARS`` variables skip the elimination, and those whose
+    elimination grows past ``_MAX_ROWS`` rows stop it; both answer ``True``.
+
+    A system marked false as it was built answers ``False`` without a unit;
+    every other call charges one, a system that carries a point included.
+    Verdicts are memoised on the system's integer rows
+    (:meth:`ConstraintSystem.row_set`), never on constraint objects.
     """
     if system.has_trivially_false():
         return False
     # Charged before the memo lookup: the unit count then only depends on the
     # call sequence (deterministic per job), not on cross-job cache warmth.
     _charge_work()
+    if system._point is not None:
+        return True
     cache_key = system.row_set()
-    cached = _FEASIBILITY_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    result = _feasible_rational_uncached(system)
-    if len(_FEASIBILITY_CACHE) < 200_000:
-        _FEASIBILITY_CACHE[cache_key] = result
-    return result
+    verdict = _FEASIBILITY_CACHE.get(cache_key)
+    if verdict is None:
+        verdict = _feasible_rational_uncached(system)
+        if len(_FEASIBILITY_CACHE) < 200_000:
+            _FEASIBILITY_CACHE[cache_key] = verdict
+    if isinstance(verdict, dict):
+        system._point = verdict
+        return True
+    return verdict
 
 
-def _feasible_rational_uncached(system: ConstraintSystem) -> bool:
-    columns, rows, _ = _integer_rows(system)
-    if _refuted_by_bounds(rows, len(columns)):
+def _feasible_rational_uncached(system: ConstraintSystem) -> Union[bool, Point]:
+    columns, rows, fresh = _integer_rows(system)
+    inequalities = _inequalities(rows)
+    lower: List[Optional[int]] = [None] * len(columns)
+    upper: List[Optional[int]] = [None] * len(columns)
+    if not _propagate(inequalities, lower, upper):
         return False
+    values = _dive(inequalities, lower, upper)
+    if values is not None:
+        return {col: value for col, value in zip(columns, values) if isinstance(col, str) and col not in fresh}
     remaining = [j for j, col in enumerate(columns) if isinstance(col, str)]
     if len(remaining) > _MAX_VARS:
         return True
@@ -577,30 +612,35 @@ def _feasible_rational_uncached(system: ConstraintSystem) -> bool:
     return True
 
 
-#: Rounds of interval propagation ahead of Fourier-Motzkin.
-_PROPAGATION_ROUNDS = 4
+#: Rounds of interval propagation per call of :func:`_propagate`.
+_PROPAGATION_ROUNDS = 8
+
+#: A row ``sum(a * x[j] for j, a in terms) + constant >= 0`` over column indices.
+Inequality = Tuple[List[Tuple[int, int]], int]
 
 
-def _refuted_by_bounds(rows: List[Row], width: int) -> bool:
-    """Whether interval propagation over the integer columns proves ``rows`` empty.
-
-    Each row ``a . x + c >= 0`` (an equality as two such rows) bounds each
-    column by the other columns' bounds, rounded inward since every column is
-    an integer, for up to ``_PROPAGATION_ROUNDS`` rounds.  Emptiness is
-    proved by a column whose lower bound passes its upper bound, or by a row
-    whose maximum over the bounds' box is negative.
-    """
-    lower: List[Optional[int]] = [None] * width
-    upper: List[Optional[int]] = [None] * width
-    sparse: List[Tuple[List[Tuple[int, int]], int]] = []
+def _inequalities(rows: List[Row]) -> List[Inequality]:
+    """``rows`` as sparse inequalities, an equality as two of them."""
+    inequalities: List[Inequality] = []
     for is_eq, coeffs, const in rows:
         terms = [(j, a) for j, a in enumerate(coeffs) if a]
-        sparse.append((terms, const))
+        inequalities.append((terms, const))
         if is_eq:
-            sparse.append(([(j, -a) for j, a in terms], -const))
+            inequalities.append(([(j, -a) for j, a in terms], -const))
+    return inequalities
+
+
+def _propagate(inequalities: List[Inequality], lower: List[Optional[int]], upper: List[Optional[int]]) -> bool:
+    """Tighten the integer bounds ``lower``/``upper`` in place; ``False`` if they prove the rows empty.
+
+    Each row bounds each column by the other columns' bounds, rounded inward
+    since every column is an integer, for up to ``_PROPAGATION_ROUNDS``
+    rounds.  Emptiness is proved by a column whose lower bound passes its
+    upper bound, or by a row whose maximum over the bounds' box is negative.
+    """
     for _ in range(_PROPAGATION_ROUNDS):
         changed = False
-        for terms, const in sparse:
+        for terms, const in inequalities:
             # The row's maximum over the box, with at most one unbounded term.
             total = const
             unbounded = None
@@ -616,7 +656,7 @@ def _refuted_by_bounds(rows: List[Row], width: int) -> bool:
             else:
                 if unbounded is None:
                     if total < 0:
-                        return True
+                        return False
                     derived = terms
                 else:
                     derived = (unbounded,)
@@ -637,10 +677,59 @@ def _refuted_by_bounds(rows: List[Row], width: int) -> bool:
                             upper[j] = bound
                             changed = True
                     if lower[j] is not None and upper[j] is not None and lower[j] > upper[j]:
-                        return True
+                        return False
         if not changed:
             break
-    return False
+    return True
+
+
+def _dive(
+    inequalities: List[Inequality], lower: List[Optional[int]], upper: List[Optional[int]]
+) -> Optional[List[int]]:
+    """An integer point inside the propagated bounds, or ``None`` if the dive finds none.
+
+    Fixes each column in turn to its lower bound, else its upper bound, else
+    0, and propagates after each fix; the point reached is then checked
+    against every row.  ``None`` proves nothing: another choice might have
+    found a point.  Consumes ``lower`` and ``upper``.
+    """
+    for j, low in enumerate(lower):
+        value = low if low is not None else upper[j] if upper[j] is not None else 0
+        if low == value == upper[j]:
+            continue
+        lower[j] = upper[j] = value
+        if not _propagate(inequalities, lower, upper):
+            return None
+    point: List[int] = lower  # type: ignore[assignment]
+    for terms, const in inequalities:
+        if const + sum(a * point[j] for j, a in terms) < 0:
+            return None
+    return point
+
+
+def _holds(row: ConstraintRow, point: Point) -> bool:
+    """Whether the constraint ``row`` holds at ``point`` (``False`` if it names a variable the point lacks)."""
+    is_eq, coeffs, const = row
+    total = const
+    for sym, a in coeffs:
+        value = _value_at(sym, point)
+        if value is None:
+            return False
+        total += a * value
+    return total == 0 if is_eq else total >= 0
+
+
+def _value_at(sym: Symbol, point: Point) -> Optional[int]:
+    """A variable's value at ``point``, or a div's floor there; ``None`` if a variable is missing."""
+    if isinstance(sym, str):
+        return point.get(sym)
+    coeffs, total, m = sym.integer_argument()
+    for inner, a in coeffs:
+        value = _value_at(inner, point)
+        if value is None:
+            return None
+        total += a * value
+    return total // (m * sym.denominator)
 
 
 # ----------------------------------------------------------------------

@@ -131,6 +131,8 @@ class _CountState:
         at_upper: List[Optional[QPoly]] = [None] * len(upper_values)
 
         base = ConstraintSystem(rest)
+        # ``rest`` is a subset of the system's rows, so its point holds there.
+        base._point = system._point
         results: List[Piece] = []
         for li, low_value in enumerate(lower_values):
             for ui, up_value in enumerate(upper_values):

@@ -167,12 +167,24 @@ def _term_sort_key(term: Tuple[Monomial, Fraction]) -> Tuple[int, list]:
 
 
 def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not b:
+        return a
+    if not a:
+        return b
     powers: Dict[Symbol, int] = {}
     for sym, exp in a:
         powers[sym] = powers.get(sym, 0) + exp
     for sym, exp in b:
         powers[sym] = powers.get(sym, 0) + exp
     return tuple(sorted(((s, e) for s, e in powers.items() if e), key=lambda it: _symbol_sort_key(it[0])))
+
+
+def _terms_of(value: Union["QPoly", Number]) -> Mapping[Monomial, Fraction]:
+    """The terms of a polynomial, or of a number as a constant polynomial."""
+    if isinstance(value, QPoly):
+        return value.terms
+    value = _to_fraction(value)
+    return {(): value} if value else {}
 
 
 class QPoly:
@@ -240,6 +252,19 @@ class QPoly:
         poly = QPoly.__new__(QPoly)
         poly.terms = dict(items)
         poly._items = items
+        poly._hash = None
+        return poly
+
+    @staticmethod
+    def _clean(terms: Dict[Monomial, Fraction]) -> "QPoly":
+        """The polynomial that owns ``terms``, whose coefficients are already non-zero ``Fraction``s.
+
+        The arithmetic operators build their results here, skipping the
+        constructor's conversion of every coefficient.
+        """
+        poly = QPoly.__new__(QPoly)
+        poly.terms = terms
+        poly._items = None
         poly._hash = None
         return poly
 
@@ -356,24 +381,37 @@ class QPoly:
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: Union["QPoly", Number]) -> "QPoly":
-        other_poly = other if isinstance(other, QPoly) else QPoly.constant(other)
         terms = dict(self.terms)
-        for monomial, coeff in other_poly.terms.items():
-            new = terms.get(monomial, Fraction(0)) + coeff
+        for monomial, coeff in _terms_of(other).items():
+            new = terms.get(monomial)
+            if new is None:
+                terms[monomial] = coeff
+                continue
+            new += coeff
             if new:
                 terms[monomial] = new
-            elif monomial in terms:
+            else:
                 del terms[monomial]
-        return QPoly(terms)
+        return QPoly._clean(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly({monomial: -coeff for monomial, coeff in self.terms.items()})
+        return QPoly._clean({monomial: -coeff for monomial, coeff in self.terms.items()})
 
     def __sub__(self, other: Union["QPoly", Number]) -> "QPoly":
-        other_poly = other if isinstance(other, QPoly) else QPoly.constant(other)
-        return self + (-other_poly)
+        terms = dict(self.terms)
+        for monomial, coeff in _terms_of(other).items():
+            new = terms.get(monomial)
+            if new is None:
+                terms[monomial] = -coeff
+                continue
+            new -= coeff
+            if new:
+                terms[monomial] = new
+            else:
+                del terms[monomial]
+        return QPoly._clean(terms)
 
     def __rsub__(self, other: Number) -> "QPoly":
         return QPoly.constant(other) - self
@@ -383,17 +421,22 @@ class QPoly:
             factor = _to_fraction(other)
             if not factor:
                 return QPoly()
-            return QPoly({monomial: coeff * factor for monomial, coeff in self.terms.items()})
+            return QPoly._clean({monomial: coeff * factor for monomial, coeff in self.terms.items()})
         result: Dict[Monomial, Fraction] = {}
         for mono_a, coeff_a in self.terms.items():
             for mono_b, coeff_b in other.terms.items():
                 monomial = _monomial_mul(mono_a, mono_b)
-                new = result.get(monomial, Fraction(0)) + coeff_a * coeff_b
+                product = coeff_a * coeff_b
+                new = result.get(monomial)
+                if new is None:
+                    result[monomial] = product
+                    continue
+                new += product
                 if new:
                     result[monomial] = new
-                elif monomial in result:
+                else:
                     del result[monomial]
-        return QPoly(result)
+        return QPoly._clean(result)
 
     __rmul__ = __mul__
 

@@ -1,20 +1,24 @@
 """The integer-row feasibility engine: soundness, pinned verdicts, and work charging.
 
 ``feasible_rational`` prunes pieces, so its one hard obligation is
-soundness: ``False`` must mean integer-empty.  Beyond that it must refute
-every system the Fourier-Motzkin loop over ``QPoly`` constraints that the
-integer rows replaced refutes (bound propagation may refute more), and the
-ranges ``variable_range`` hands to enumeration must equal that loop's; the
-loop, with its div expansion, stays here as the reference.  The pinned
-verdicts fix the engine's semantics (gcd tightening of inequalities,
-integer-empty equalities, scaled equality substitution, the variable
-cut-off) and the work-unit contract, and the pinned pieces hold the whole
-stack-distance pipeline's output on two kernels byte for byte.
+soundness: ``False`` must mean integer-empty.  A ``True`` found by the dive
+carries an integer point that satisfies every row, and a system keeps that
+point through ``copy`` and ``add`` only while it stays valid.  Beyond that
+the engine must refute every system the Fourier-Motzkin loop over ``QPoly``
+constraints that the integer rows replaced refutes (bound propagation may
+refute more), and the ranges ``variable_range`` hands to enumeration must
+equal that loop's; the loop, with its div expansion, stays here as the
+reference.  The pinned verdicts fix the engine's semantics (gcd tightening
+of inequalities, integer-empty equalities, scaled equality substitution,
+the variable cut-off) and the work-unit contract, and the pinned pieces hold
+the whole stack-distance pipeline's output on two kernels byte for byte.
 """
 
 import itertools
 import math
+import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +29,7 @@ from repro.core import CacheModel, ModelOptions
 from repro.core.distance import StackDistanceAnalysis
 from repro.core.model import PROGRAM_MEMO
 from repro.engine.store import stable_digest
-from repro.isl import constraints, lexopt
+from repro.isl import constraints
 from repro.isl.constraints import (
     EQ,
     INEQ,
@@ -93,6 +97,79 @@ def test_false_only_when_brute_force_finds_no_point(case):
     has_point = any(_satisfied(system, dict(zip(names, values))) for values in itertools.product(*box.values()))
     if has_point:
         assert feasible_rational(system)
+
+
+# ----------------------------------------------------------------------
+# The dive's integer point, carried by the system
+# ----------------------------------------------------------------------
+@given(boxed_systems())
+@settings(max_examples=300, deadline=None)
+def test_true_carries_a_valid_point_unless_fourier_motzkin_answered(case):
+    system, box = case
+    names = list(box)
+    dives = []
+    dive = constraints._dive
+
+    def recording_dive(*args):
+        dives.append(dive(*args))
+        return dives[-1]
+
+    with mock.patch.object(constraints, "_FEASIBILITY_CACHE", {}):
+        with mock.patch.object(constraints, "_dive", recording_dive):
+            verdict = feasible_rational(system)
+    point = system._point
+    if not verdict:
+        assert point is None
+        assert not any(_satisfied(system, dict(zip(names, values))) for values in itertools.product(*box.values()))
+    elif point is None:
+        # Only a failed dive leaves the verdict to Fourier-Motzkin's "maybe".
+        assert dives == [None]
+    else:
+        # Every row holds, each div evaluated as a floor.
+        assert set(point) == system.variables()
+        assert _satisfied(system, point)
+
+
+@given(
+    boxed_systems(),
+    st.lists(coefficients, min_size=2, max_size=2),
+    st.integers(min_value=-4, max_value=4),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_add_keeps_the_point_only_where_the_new_row_holds(case, coeffs, const, is_eq):
+    system, box = case
+    names = list(box)
+    if not feasible_rational(system) or system._point is None:
+        return
+    point = system._point
+    expr = QPoly.variable(names[0]) * coeffs[0] + floor_div(QPoly.variable(names[-1]), 2) * coeffs[1] + const
+    constraint = Constraint(expr, EQ if is_eq else INEQ)
+    extended = system.copy()
+    assert extended._point is point
+    extended.add(constraint)
+    assert extended._point is (point if _satisfied_one(constraint, point) else None)
+
+
+def test_new_and_substituted_systems_start_without_a_point():
+    system = ConstraintSystem([ge(x, 0), le(x, y), le(y, 5)])
+    assert system._point is None
+    assert feasible_rational(system) and _satisfied(system, system._point)
+    assert system.substitute({"y": 3})._point is None
+    assert ConstraintSystem(system.constraints)._point is None
+    assert system.conjoin([le(x, 5)])._point is system._point
+
+
+def test_a_pickled_system_keeps_a_valid_point():
+    system = ConstraintSystem([ge(x, 1), le(x * 2, y), le(y, 9), eq(floor_div(y, 4), 1)])
+    assert feasible_rational(system)
+    clone = pickle.loads(pickle.dumps(system))
+    assert clone._point == system._point
+    assert _satisfied(clone, clone._point)
+    budget = WorkBudget()
+    with active_budget(budget), mock.patch.object(constraints, "_FEASIBILITY_CACHE", {}):
+        assert feasible_rational(clone)
+    assert budget.used == 1
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +486,7 @@ def _pieces(scop):
 def test_copy_kernel_8_byte_pieces_are_pinned():
     assert _pieces(build_copy_kernel(16, element_size=8)) == (
         28,
-        1192,
+        1171,
         "b08fd60dd04a044c4d863fab2def4f4dfc417dc4611cca398f8da14da3105e30",
     )
 
@@ -417,38 +494,40 @@ def test_copy_kernel_8_byte_pieces_are_pinned():
 def test_stencil_1d_pieces_are_pinned():
     assert _pieces(build_stencil_1d(24)) == (
         7,
-        332,
+        323,
         "bcd2b332c331efa292b3c6d152fab40de031882188c3c6e9f2a0f317728bd9ac",
     )
 
 
 # ----------------------------------------------------------------------
-# Work gate: propagation keeps Fourier-Motzkin off most empty systems
+# Work gate: integer points keep Fourier-Motzkin off almost every system
 # ----------------------------------------------------------------------
-#: ``_eliminate`` calls and bound-propagation refutations of one cold
-#: symbolic analysis (two levels of 1 KiB and 8 KiB, no budget, no
-#: fallback).  Without propagation the calls were 4,097 and 1,065.
-WORK_COUNTS = {("matvec", "n16"): (2455, 896), ("copylines", "n8"): (410, 103)}
+#: ``_eliminate`` calls made from feasibility checks in one cold symbolic
+#: analysis (two levels of 1 KiB and 8 KiB, no budget, no fallback) when
+#: Fourier-Motzkin ran on every system propagation did not refute.  Since
+#: the dive decides feasibility by integer points, they are 12 and 0.
+WORK_COUNTS = {("matvec", "n16"): 2433, ("copylines", "n8"): 408}
 
 
 @pytest.mark.parametrize("name, dataset", sorted(WORK_COUNTS))
 def test_fourier_motzkin_work_is_gated(name, dataset, monkeypatch):
-    eliminations, refutations = WORK_COUNTS[name, dataset]
-    counts = {"eliminate": 0, "refuted": 0}
-    eliminate, refuted_by_bounds = constraints._eliminate, constraints._refuted_by_bounds
+    counts = {"eliminate": 0}
+    checking = []
+    uncached, eliminate = constraints._feasible_rational_uncached, constraints._eliminate
+
+    def counting_uncached(system):
+        checking.append(system)
+        try:
+            return uncached(system)
+        finally:
+            checking.pop()
 
     def counting_eliminate(*args, **kwargs):
-        counts["eliminate"] += 1
+        counts["eliminate"] += bool(checking)
         return eliminate(*args, **kwargs)
 
-    def counting_refuted(rows, width):
-        refuted = refuted_by_bounds(rows, width)
-        counts["refuted"] += refuted
-        return refuted
-
+    monkeypatch.setattr(constraints, "_feasible_rational_uncached", counting_uncached)
     monkeypatch.setattr(constraints, "_eliminate", counting_eliminate)
-    monkeypatch.setattr(lexopt, "_eliminate", counting_eliminate)
-    monkeypatch.setattr(constraints, "_refuted_by_bounds", counting_refuted)
     monkeypatch.setattr(constraints, "_FEASIBILITY_CACHE", {})
     PROGRAM_MEMO.clear()
     try:
@@ -457,6 +536,5 @@ def test_fourier_motzkin_work_is_gated(name, dataset, monkeypatch):
     finally:
         PROGRAM_MEMO.clear()
     assert not result.used_fallback
-    # At most 10% more eliminations, at most 10% fewer refutations.
-    assert counts["eliminate"] <= eliminations * 11 // 10, counts
-    assert counts["refuted"] >= refutations * 9 // 10, counts
+    # At least 90% fewer eliminations than before the dive.
+    assert counts["eliminate"] * 10 <= WORK_COUNTS[name, dataset], counts

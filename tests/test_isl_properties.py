@@ -79,3 +79,38 @@ def test_lexmax_matches_bruteforce(i_value, n_value):
     params = {"i": i_value, "n": n_value}
     expected = lexmax_explicit(cs, ["j"], params)
     assert evaluate_pieces(pieces, 1, params) == expected
+
+
+# ----------------------------------------------------------------------
+# QPoly arithmetic builds its results without re-checking coefficients
+# ----------------------------------------------------------------------
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def qpolys(draw):
+    """Small polynomials over two variables and a div, coefficients that may cancel."""
+    i, j = QPoly.variable("i"), QPoly.variable("j")
+    monomials = [QPoly.constant(1), i, j, i * j, i * i, floor_div(i + j * 2, 4), floor_div(i, 3) * j]
+    poly = QPoly()
+    for monomial in draw(st.lists(st.sampled_from(monomials), max_size=5)):
+        poly = poly + monomial * draw(fractions)
+    return poly
+
+
+def _rebuilt_alike(result):
+    rebuilt = QPoly(result.terms)
+    assert result.terms == rebuilt.terms
+    assert result._canonical_items() == rebuilt._canonical_items()
+    assert hash(result) == hash(rebuilt)
+    assert all(isinstance(c, Fraction) and c for c in result.terms.values())
+
+
+@given(qpolys(), st.one_of(qpolys(), fractions, st.integers(min_value=-3, max_value=3)))
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_results_equal_the_public_constructor(a, b):
+    for result in (a + b, b + a, a - b, b - a, -a, a * b, b * a, a - a, a * 0):
+        _rebuilt_alike(result)
+    b_poly = b if isinstance(b, QPoly) else QPoly.constant(b)
+    assert a - b == a + (-b_poly)
+    assert (a - b) + b == a

@@ -23,7 +23,7 @@ KERNELS_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "kernels"
 SMOKE_KERNELS = ("gemm", "atax", "bicg", "mvt", "trisolv", "jacobi-1d")
 
 #: Stage 2-3 work units of the symbolic kernels at 64-byte lines.
-STAGE3_UNITS = {("matvec", "n16"): 3709, ("stencil3", "n64"): 332, ("copylines", "n8"): 594}
+STAGE3_UNITS = {("matvec", "n16"): 3298, ("stencil3", "n64"): 323, ("copylines", "n8"): 590}
 
 #: Two capacity grids (bytes) for the same programs.
 GRIDS = ((128, 640, 2048), (192, 4096, 16384, 65536))

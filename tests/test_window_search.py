@@ -1,11 +1,13 @@
 """The prefix-pruned reuse-window search against the flat loop it replaced.
 
 ``StackDistanceAnalysis._window_contributions`` checks each prefix of a
-reuse-window system (target region with witness piece, then each lower and
-each upper lex disjunct) before it builds the leaves under it.  Pruning may
-only skip systems that are empty: the contributions handed to accumulation
-must be the ones the flat lower × upper × first-touch loop produces, system
-for system and in the same order.  That loop stays here as the reference.
+reuse-window system (target region with witness domain, then each lower and
+each upper lex disjunct, then each witness piece) before it builds the
+leaves under it.  Pruning may only skip systems that are empty: the
+contributions handed to accumulation must be the ones the flat lower ×
+upper × witness piece × first-touch loop produces, each system built from
+scratch, system for system and in the same order.  That loop stays here as
+the reference.
 """
 
 import pytest
@@ -22,7 +24,7 @@ from repro.isl.work import charge
 
 
 def _flat_window_contributions(analysis, region, window_start, window_end, prev_maps):
-    """Every lower × upper × first-touch leaf built from scratch and checked on its own."""
+    """Every lower × upper × witness piece × first-touch leaf built from scratch and checked on its own."""
     contributions = []
     for witness in analysis.prev_builder.accesses:
         rename = rename_map(witness.statement, COUNT_PREFIX)
@@ -35,33 +37,35 @@ def _flat_window_contributions(analysis, region, window_start, window_end, prev_
         if not lower_disjuncts or not upper_disjuncts:
             continue
 
+        pieces = []
         for witness_region in prev_maps[witness.key]:
             witness_piece_domain = witness_region.domain.substitute(rename)
             if witness_region.is_first_touch:
-                first_touch_disjuncts = [[]]
-            else:
-                witness_prev_schedule = tuple(
-                    expr.substitute(rename) for expr in witness_region.candidate.schedule
-                )
-                first_touch_disjuncts = lex_order_disjuncts(witness_prev_schedule, window_start, strict=True)
-                if not first_touch_disjuncts:
-                    continue
+                pieces.append((witness_piece_domain, [[]]))
+                continue
+            witness_prev_schedule = tuple(expr.substitute(rename) for expr in witness_region.candidate.schedule)
+            first_touch_disjuncts = lex_order_disjuncts(witness_prev_schedule, window_start, strict=True)
+            if first_touch_disjuncts:
+                pieces.append((witness_piece_domain, first_touch_disjuncts))
 
-            for lower in lower_disjuncts:
-                for upper in upper_disjuncts:
+        for lower in lower_disjuncts:
+            for upper in upper_disjuncts:
+                for witness_piece_domain, first_touch_disjuncts in pieces:
                     for first_touch in first_touch_disjuncts:
                         charge()
                         system = region.domain.conjoin(witness_domain)
+                        for constraint in lower + upper:
+                            system.add(constraint)
                         system = system.conjoin(witness_piece_domain)
-                        for constraint in lower + upper + first_touch:
+                        for constraint in first_touch:
                             system.add(constraint)
                         if not feasible(system):
                             continue
                         try:
-                            pieces = count_points(system, witness_vars)
+                            pieces_counted = count_points(system, witness_vars)
                         except CountingError as exc:
                             raise ModelFallbackRequired(str(exc)) from exc
-                        contributions.extend(pieces)
+                        contributions.extend(pieces_counted)
     return contributions
 
 
