@@ -114,7 +114,8 @@ KERNELS = {
         "stencil-1d",
         "gemm-4x3x2-64B",
         # The flat loop alone makes about 50,000 feasibility checks here
-        # (over a minute on a 2-core box), so this case runs under --run-slow.
+        # (about 13 s for both searches on a 2-core box), so this case runs
+        # under --run-slow.
         pytest.param("gemm-4x3x2-8B", marks=pytest.mark.slow),
     ],
 )
