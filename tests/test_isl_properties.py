@@ -84,7 +84,7 @@ def test_lexmax_matches_bruteforce(i_value, n_value):
 # ----------------------------------------------------------------------
 # QPoly arithmetic builds its results without re-checking coefficients
 # ----------------------------------------------------------------------
-fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 @st.composite
@@ -94,7 +94,7 @@ def qpolys(draw):
     monomials = [QPoly.constant(1), i, j, i * j, i * i, floor_div(i + j * 2, 4), floor_div(i, 3) * j]
     poly = QPoly()
     for monomial in draw(st.lists(st.sampled_from(monomials), max_size=5)):
-        poly = poly + monomial * draw(fractions)
+        poly = poly + monomial * draw(small_fractions)
     return poly
 
 
@@ -106,7 +106,7 @@ def _rebuilt_alike(result):
     assert all(isinstance(c, Fraction) and c for c in result.terms.values())
 
 
-@given(qpolys(), st.one_of(qpolys(), fractions, st.integers(min_value=-3, max_value=3)))
+@given(qpolys(), st.one_of(qpolys(), small_fractions, st.integers(min_value=-3, max_value=3)))
 @settings(max_examples=300, deadline=None)
 def test_arithmetic_results_equal_the_public_constructor(a, b):
     for result in (a + b, b + a, a - b, b - a, -a, a * b, b * a, a - a, a * 0):
